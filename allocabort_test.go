@@ -1,14 +1,40 @@
 package rfdet_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"rfdet"
 	"rfdet/internal/core"
 	"rfdet/internal/harness"
 	"rfdet/internal/workloads"
 )
+
+// noGoroutineLeak runs fn — one or more complete Run calls — and fails the
+// test unless the goroutine count is back to its value from before fn within
+// a bounded deadline. Thread goroutines and diff/apply workers finish
+// shortly after Run returns (deferred exits, wait-group joins), hence the
+// polling instead of a single comparison.
+func noGoroutineLeak(t *testing.T, fn func()) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	fn()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= before {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("goroutine leak: %d goroutines before the run, %d after:\n%s", before, n, buf)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
 
 // Double-free litmus: an allocator failure must surface as an error from Run
 // on every runtime — the recoverable-abort path — never as an unrecovered
@@ -25,10 +51,13 @@ func TestDoubleFreeAbortsRecoverably(t *testing.T) {
 	for _, rt := range runtimes {
 		rt := rt
 		t.Run(rt.Name(), func(t *testing.T) {
-			_, err := rt.Run(func(th rfdet.Thread) {
-				a := th.Malloc(64)
-				th.Free(a)
-				th.Free(a) // double free
+			var err error
+			noGoroutineLeak(t, func() {
+				_, err = rt.Run(func(th rfdet.Thread) {
+					a := th.Malloc(64)
+					th.Free(a)
+					th.Free(a) // double free
+				})
 			})
 			if err == nil {
 				t.Fatal("double free must fail the run")
@@ -52,20 +81,23 @@ func TestDoubleFreeUnblocksPeers(t *testing.T) {
 	for _, rt := range runtimes {
 		rt := rt
 		t.Run(rt.Name(), func(t *testing.T) {
-			_, err := rt.Run(func(th rfdet.Thread) {
-				mu, cond := rfdet.Addr(64), rfdet.Addr(128)
-				flag := th.Malloc(8)
-				waiter := th.Spawn(func(c rfdet.Thread) {
-					c.Lock(mu)
-					for c.Load64(flag) == 0 {
-						c.Wait(cond, mu) // never signaled: main dies first
-					}
-					c.Unlock(mu)
+			var err error
+			noGoroutineLeak(t, func() {
+				_, err = rt.Run(func(th rfdet.Thread) {
+					mu, cond := rfdet.Addr(64), rfdet.Addr(128)
+					flag := th.Malloc(8)
+					waiter := th.Spawn(func(c rfdet.Thread) {
+						c.Lock(mu)
+						for c.Load64(flag) == 0 {
+							c.Wait(cond, mu) // never signaled: main dies first
+						}
+						c.Unlock(mu)
+					})
+					a := th.Malloc(64)
+					th.Free(a)
+					th.Free(a) // double free while the waiter blocks
+					th.Join(waiter)
 				})
-				a := th.Malloc(64)
-				th.Free(a)
-				th.Free(a) // double free while the waiter blocks
-				th.Join(waiter)
 			})
 			if err == nil {
 				t.Fatal("double free must fail the run")
@@ -93,7 +125,10 @@ func TestServerReplicaAbortUnwinds(t *testing.T) {
 			{Name: "poisoned", Opts: opts, InjectAbort: true},
 			{Name: "clean-b", Opts: opts},
 		}
-		rep := harness.RunServerReplicas(cfg, workloads.DefaultServerSeed, variants)
+		var rep *harness.ReplicaReport
+		noGoroutineLeak(t, func() {
+			rep = harness.RunServerReplicas(cfg, workloads.DefaultServerSeed, variants)
+		})
 		if len(rep.Divergences) != 1 {
 			t.Fatalf("shards=%d: divergences %v — want exactly the injected abort, with clean replicas agreeing",
 				shards, rep.Divergences)
@@ -129,32 +164,65 @@ func TestZeroCountBarrierAborts(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		opts := rfdet.DefaultOptions()
 		opts.ShardCount = shards
-		_, err := rfdet.New(opts).Run(func(th rfdet.Thread) {
-			mu, cond, bar := rfdet.Addr(64), rfdet.Addr(128), rfdet.Addr(192)
-			flag := th.Malloc(8)
-			holder := th.Spawn(func(c rfdet.Thread) {
-				c.Lock(mu)
-				for c.Load64(flag) == 0 {
-					c.Wait(cond, mu) // never signaled: main aborts first
-				}
-				c.Unlock(mu)
+		var err error
+		noGoroutineLeak(t, func() {
+			_, err = rfdet.New(opts).Run(func(th rfdet.Thread) {
+				mu, cond, bar := rfdet.Addr(64), rfdet.Addr(128), rfdet.Addr(192)
+				flag := th.Malloc(8)
+				holder := th.Spawn(func(c rfdet.Thread) {
+					c.Lock(mu)
+					for c.Load64(flag) == 0 {
+						c.Wait(cond, mu) // never signaled: main aborts first
+					}
+					c.Unlock(mu)
+				})
+				th.Spawn(func(c rfdet.Thread) {
+					c.Tick(1000)
+					c.Lock(mu) // queued behind holder forever
+					c.Unlock(mu)
+				})
+				th.Spawn(func(c rfdet.Thread) {
+					c.Join(holder) // blocked on a thread that never exits
+				})
+				th.Tick(100000) // let every peer reach its blocking point
+				th.Barrier(bar, 0)
 			})
-			th.Spawn(func(c rfdet.Thread) {
-				c.Tick(1000)
-				c.Lock(mu) // queued behind holder forever
-				c.Unlock(mu)
-			})
-			th.Spawn(func(c rfdet.Thread) {
-				c.Join(holder) // blocked on a thread that never exits
-			})
-			th.Tick(100000) // let every peer reach its blocking point
-			th.Barrier(bar, 0)
 		})
 		if err == nil {
 			t.Fatalf("shards=%d: zero-count barrier must fail the run", shards)
 		}
 		if !strings.Contains(err.Error(), "barrier with count") {
 			t.Fatalf("shards=%d: error %q does not describe the barrier misuse", shards, err)
+		}
+	}
+}
+
+// TestLockJoinDeadlockAborts is the self-deadlock litmus: main holds a mutex
+// and joins a child that needs it. Every live thread ends up blocked, which
+// the deadlock check must turn into a recoverable error with every thread
+// goroutine unwound, on both monitors and at both domain counts.
+func TestLockJoinDeadlockAborts(t *testing.T) {
+	for _, mon := range []core.Monitor{core.MonitorCI, core.MonitorPF} {
+		for _, shards := range []int{1, 4} {
+			opts := core.DefaultOptions()
+			opts.Monitor = mon
+			opts.ShardCount = shards
+			var err error
+			noGoroutineLeak(t, func() {
+				_, err = rfdet.New(opts).Run(func(th rfdet.Thread) {
+					mu := rfdet.Addr(64)
+					th.Lock(mu)
+					child := th.Spawn(func(c rfdet.Thread) {
+						c.Lock(mu) // held by main for good
+						c.Unlock(mu)
+					})
+					th.Join(child)
+					th.Unlock(mu)
+				})
+			})
+			if err == nil || !strings.Contains(err.Error(), "deadlock") {
+				t.Fatalf("monitor=%s shards=%d: error = %v, want the deterministic deadlock", mon, shards, err)
+			}
 		}
 	}
 }

@@ -379,151 +379,6 @@ func TestFuzzServerReplicasAgree(t *testing.T) {
 	}
 }
 
-// relaxFuzzProgram generates race-free programs shaped to exercise both
-// relaxation prongs: every worker hammers a private mutex only it ever
-// touches (profile-guided turn-wait elision) and writes a private region
-// under the shared lock that no peer reads before the join (propagation
-// elision), alongside ordinary shared-lock and atomic traffic.
-func relaxFuzzProgram(seed int64) rfdet.ThreadFunc {
-	return func(t rfdet.Thread) {
-		r := rand.New(rand.NewSource(seed ^ 0x5eed))
-		nworkers := 2 + r.Intn(3)
-		words := 32
-		arr := t.Malloc(uint64(8 * words * (nworkers + 1)))
-		atomWord := t.Malloc(8)
-		sharedLock := rfdet.Addr(1 << 10)
-		privLockBase := rfdet.Addr(1 << 12)
-
-		type op struct{ kind, a int }
-		scripts := make([][]op, nworkers)
-		for w := range scripts {
-			nops := 20 + r.Intn(40)
-			script := make([]op, nops)
-			for i := range script {
-				script[i] = op{kind: r.Intn(5), a: r.Intn(words)}
-			}
-			scripts[w] = script
-		}
-
-		var ids []rfdet.ThreadID
-		for w := 0; w < nworkers; w++ {
-			script := scripts[w]
-			me := uint64(w + 1)
-			priv := privLockBase + rfdet.Addr(64*w)
-			region := arr + rfdet.Addr(8*words*(w+1))
-			ids = append(ids, t.Spawn(func(t rfdet.Thread) {
-				for _, o := range script {
-					switch o.kind {
-					case 0: // private critical section: profiled thread-local
-						t.Lock(priv)
-						t.Store64(region, t.Load64(region)+me)
-						t.Unlock(priv)
-					case 1: // shared critical section, commutative
-						t.Lock(sharedLock)
-						t.Store64(arr, t.Load64(arr)+me*2654435761)
-						t.Unlock(sharedLock)
-					case 2: // private region written under the shared lock:
-						// propagates to peers that never read it
-						t.Lock(sharedLock)
-						t.Store64(region+rfdet.Addr(8*(o.a%words)), me*uint64(o.a+1))
-						t.Unlock(sharedLock)
-					case 3: // deterministic atomic
-						t.AtomicAdd64(atomWord, me)
-					default:
-						t.Tick(uint64(5 + o.a))
-					}
-				}
-			}))
-		}
-		for _, id := range ids {
-			t.Join(id)
-		}
-		var fold uint64
-		for i := 0; i < words*(nworkers+1); i++ {
-			fold = fold*31 + t.Load64(arr+rfdet.Addr(8*i))
-		}
-		t.Observe(fold, t.Load64(atomWord))
-	}
-}
-
-// TestFuzzRaceRelaxedAgrees: race-aware ordering relaxation must be invisible
-// to every deterministic observable on race-free programs running under a
-// correct profile. For each seed a relaxation profile is recorded exactly as
-// deployments record one (two race-detecting runs, stability-merged); then
-// RaceRelaxed on and off — across monitors, optimization stacks, shard
-// counts and GOMAXPROCS — must produce bit-identical output hashes AND
-// virtual times, with zero unsafe fallbacks (the certification that every
-// elision was on a genuinely thread-local variable).
-func TestFuzzRaceRelaxedAgrees(t *testing.T) {
-	seeds := 6
-	if testing.Short() {
-		seeds = 2
-	}
-	bases := []rfdet.Options{
-		{Monitor: rfdet.MonitorCI, ShardCount: 1},
-		{Monitor: rfdet.MonitorCI, SliceMerging: true, Prelock: true, ShardCount: 4},
-		{Monitor: rfdet.MonitorCI, SliceMerging: true, Prelock: true, LazyWrites: true, ShardCount: 4},
-		{Monitor: rfdet.MonitorPF, ShardCount: 4},
-	}
-	for seed := int64(1500); seed < 1500+int64(seeds); seed++ {
-		prog := relaxFuzzProgram(seed)
-
-		// Record the relaxation profile the way a deployment would.
-		recOpts := core.DefaultOptions()
-		recOpts.RaceDetect = true
-		var profiles [2]*rfdet.Profile
-		for i := range profiles {
-			rep, err := rfdet.New(recOpts).Run(prog)
-			if err != nil {
-				t.Fatalf("seed %d recording run %d: %v", seed, i, err)
-			}
-			profiles[i] = rep.RelaxProfile
-		}
-		profile, err := rfdet.MergeProfiles(profiles[0], profiles[1])
-		if err != nil {
-			t.Fatalf("seed %d: stability merge: %v", seed, err)
-		}
-		if len(profile.Local) == 0 {
-			t.Fatalf("seed %d: no thread-local sync vars profiled", seed)
-		}
-
-		for _, base := range bases {
-			var firstOut, firstVT uint64
-			haveFirst := false
-			var elisions uint64
-			for _, relaxed := range []bool{false, true} {
-				for _, procs := range []int{1, 2, 4, 8} {
-					old := runtime.GOMAXPROCS(procs)
-					o := base
-					o.RaceRelaxed = relaxed
-					if relaxed {
-						o.RelaxProfile = profile
-					}
-					rep, err := rfdet.New(o).Run(prog)
-					runtime.GOMAXPROCS(old)
-					if err != nil {
-						t.Fatalf("seed %d opts %+v P=%d: %v", seed, o, procs, err)
-					}
-					if relaxed && rep.Stats.RelaxUnsafeFallbacks != 0 {
-						t.Fatalf("seed %d opts %+v P=%d: %d unsafe fallbacks under a correct profile",
-							seed, base, procs, rep.Stats.RelaxUnsafeFallbacks)
-					}
-					if relaxed {
-						elisions += rep.Stats.ElidedTurnWaits + rep.Stats.SkippedSliceApplies
-					}
-					if !haveFirst {
-						firstOut, firstVT, haveFirst = rep.OutputHash, rep.VirtualTime, true
-					} else if rep.OutputHash != firstOut || rep.VirtualTime != firstVT {
-						t.Fatalf("seed %d opts %+v P=%d relaxed=%v: relaxation changed the result (output %#x vtime %d != %#x %d)",
-							seed, base, procs, relaxed, rep.OutputHash, rep.VirtualTime, firstOut, firstVT)
-					}
-				}
-			}
-			_ = elisions // host-timing dependent; asserted >0 by the core litmus tests
-		}
-	}
-}
-
 func fmtDivergences(ds []string) string {
 	var out string
 	for _, d := range ds {
@@ -613,7 +468,7 @@ func TestFuzzEpochStoreAgrees(t *testing.T) {
 		{Monitor: rfdet.MonitorCI},
 		{Monitor: rfdet.MonitorPF},
 		{Monitor: rfdet.MonitorCI, SliceMerging: true, Prelock: true, LazyWrites: true},
-		{Monitor: rfdet.MonitorPF, SliceMerging: true, Prelock: true, LazyWrites: true, RaceRelaxed: true},
+		{Monitor: rfdet.MonitorPF, SliceMerging: true, Prelock: true, LazyWrites: true},
 	}
 	for seed := int64(1700); seed < 1700+int64(seeds); seed++ {
 		prog := fuzzProgram(seed, false)

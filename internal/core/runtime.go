@@ -152,28 +152,6 @@ type Options struct {
 	// virtual time and never changes outputs, virtual times or traces, so
 	// every deterministic observable is bit-identical with it on or off.
 	RaceDetect bool
-	// RaceRelaxed enables race-aware ordering relaxation (see relax.go):
-	// propagation applies whose write extents are disjoint from every
-	// unordered peer's published read evidence are parked instead of applied
-	// (recovered on first local access), and — when RelaxProfile is set —
-	// turn-wait spins on profiled thread-local sync vars are skipped, with a
-	// permanent per-address fallback to full ordering on the first
-	// contradicting synchronization. The virtual-time model is charged
-	// exactly as if nothing were relaxed, so any run finishing with
-	// Stats.RelaxUnsafeFallbacks == 0 — which a correct profile guarantees —
-	// has outputs, virtual times, traces and race reports bit-identical to
-	// the unrelaxed run; only wall-clock behavior (and the host-dependent
-	// observability counters) change. A contradicted (stale) profile is
-	// flagged by a nonzero fallback count: synchronization semantics still
-	// hold and the run completes, but its timing observables are no longer
-	// certified against the strict run — discard the profile and re-record.
-	RaceRelaxed bool
-	// RelaxProfile is the recorded relaxation profile (racecheck.Profile)
-	// that drives turn-wait elision. Record one with RaceDetect
-	// (Report.RelaxProfile), stability-merge at least two runs with
-	// racecheck.MergeStable, and pass it back here with RaceRelaxed set. Nil
-	// disables turn-wait elision; propagation elision works without it.
-	RelaxProfile *racecheck.Profile
 }
 
 // DefaultOptions returns the configuration used for the paper's headline
@@ -230,16 +208,6 @@ type exec struct {
 	// under the monitor, analyzed into Report.Races after the run. Like
 	// phases, purely observational.
 	races *racecheck.Detector
-	// relax is the turn-wait relaxation claim table (nil unless
-	// Options.RaceRelaxed with a profile; relax.go).
-	relax *relaxState
-	// peers is a race-free snapshot of the thread table for the propagation
-	// elision veto, which runs off-monitor and therefore cannot walk
-	// e.threads (a concurrent Spawn rendezvous may be appending). Updated
-	// under the rendezvous at every spawn; a thread missing from a stale
-	// snapshot has published no read evidence yet, so the veto only errs
-	// toward vetoing less — which the fault-path recovery makes safe.
-	peers atomic.Pointer[[]*thread]
 
 	// shards are the per-address-range commit-monitor domains. Hot sync
 	// ops lock only the domain(s) owning their variables; the global
@@ -389,17 +357,7 @@ func newExec(opts Options) *exec {
 	if opts.RaceDetect {
 		e.races = racecheck.New()
 	}
-	if opts.RaceRelaxed {
-		e.relax = newRelaxState(opts.RelaxProfile)
-	}
 	return e
-}
-
-// publishPeersLocked refreshes the elision veto's thread-table snapshot.
-// Called wherever e.threads changes (under the rendezvous / exec.mu).
-func (e *exec) publishPeersLocked() {
-	snap := append([]*thread(nil), e.threads...)
-	e.peers.Store(&snap)
 }
 
 // Run executes main as thread 0 and returns the deterministic report.
@@ -435,7 +393,6 @@ func (r *Runtime) RunTraced(main api.ThreadFunc) (*api.Report, *Trace, error) {
 	t0.proc = e.sched.Register(0, 0)
 	e.alloc.Register(0)
 	e.threads = append(e.threads, t0)
-	e.publishPeersLocked()
 	e.liveCount.Store(1)
 	e.maxLive = 1
 
@@ -496,12 +453,8 @@ func (e *exec) threadExit(t *thread, abnormal bool) {
 	defer e.releaseRendezvous(t)
 	if !e.aborted.Load() {
 		t.flushAllPending()
-		// Parked elided propagation bytes must be resident before the final
-		// memory hash and before joiners collect this thread's exit release.
-		t.flushAllRelax()
 		t.exitV = t.endSliceLocked()
 	} else {
-		t.dropRelaxPend()
 		t.exitV = t.vtime.Clone()
 	}
 	t.exitVT = t.vt
@@ -528,7 +481,7 @@ func (e *exec) threadExit(t *thread, abnormal bool) {
 		// it must apply once awake. The acquire advances j.vt, so the
 		// event's virtual time is read after it.
 		slices := j.acquireFromCollectLocked(int32(t.id), t.exitV, t.exitVT)
-		e.wakeLocked(j, wakeEvent{vt: j.vt, slices: slices, pin: e.pinFor(slices)})
+		t.wakeLocked(j, wakeEvent{vt: j.vt, slices: slices, pin: e.pinFor(slices)})
 	}
 	t.joiners = nil
 	// The Exited flip must come AFTER the joiner wakeups: it is this
@@ -542,6 +495,7 @@ func (e *exec) threadExit(t *thread, abnormal bool) {
 	// a superset of eligible threads, which can only delay an admission,
 	// never reorder one).
 	e.sched.Transition(func() { t.proc.SetStatus(kendo.Exited) })
+	t.sendWakes()
 	t.tb.Finish()
 	if live := e.liveCount.Load(); !e.aborted.Load() && live > 0 && e.blockedCount.Load() == live {
 		e.failLocked(fmt.Errorf("rfdet: deterministic deadlock: all %d live threads blocked", live))
@@ -588,24 +542,43 @@ func (e *exec) failLocked(err error) {
 	}
 }
 
-// wakeLocked resumes a blocked thread with the given event. The
+// pendingWake is a wake event whose admission is decided but whose delivery
+// waits for the waker's operation to end (sendWakes).
+type pendingWake struct {
+	w  *thread
+	ev wakeEvent
+}
+
+// wakeLocked resumes blocked thread w on behalf of the waker t. The
 // Blocked→Running flip is bracketed as a scheduling transition so no
 // concurrent turn scan can observe the waker's clock tick without also
-// observing the newly eligible thread.
-func (e *exec) wakeLocked(t *thread, ev wakeEvent) {
-	e.sched.Transition(func() { t.proc.SetStatus(kendo.Running) })
+// observing the newly eligible thread. The event itself is only queued:
+// w may carry a smaller Kendo clock than t, so once running it could pass
+// WaitForTurn while t is still inside its operation. Delivering at the end
+// of t's operation (finishOpLocked, threadExit) keeps the turn exclusive.
+func (t *thread) wakeLocked(w *thread, ev wakeEvent) {
+	e := t.exec
+	e.sched.Transition(func() { w.proc.SetStatus(kendo.Running) })
 	e.blockedCount.Add(-1)
-	// Non-blocking by necessity: the abort path holds only exec.mu, so
-	// failLocked can deliver an abort probe into this mailbox while the
-	// waker is inside a domain section. Each sleep has exactly one
-	// monitor-ordered waker, so the only way the 1-buffered mailbox is
-	// full is such an abort probe — in which case the sleeper unwinds on
-	// it and this event is moot.
-	//detvet:nativesync wake handoff; the Transition above fixed the admission order, and a full mailbox means an abort probe won.
-	select {
-	case t.wake <- ev:
-	default:
+	t.wakes = append(t.wakes, pendingWake{w: w, ev: ev})
+}
+
+// sendWakes delivers the wake events queued by wakeLocked.
+func (t *thread) sendWakes() {
+	for i, pw := range t.wakes {
+		// Non-blocking by necessity: the abort path holds only exec.mu, so
+		// failLocked can deliver an abort probe into this mailbox at any
+		// time. Each sleep has exactly one monitor-ordered waker, so the
+		// only way the 1-buffered mailbox is full is such an abort probe —
+		// in which case the sleeper unwinds on it and this event is moot.
+		//detvet:nativesync wake handoff; the Transition in wakeLocked fixed the admission order, and a full mailbox means an abort probe won.
+		select {
+		case pw.w.wake <- pw.ev:
+		default:
+		}
+		t.wakes[i] = pendingWake{}
 	}
+	t.wakes = t.wakes[:0]
 }
 
 // blockLocked marks the calling thread blocked (recording the block site for
@@ -648,10 +621,20 @@ func (e *exec) blockSites() string {
 	return s
 }
 
-// sleep parks the thread until a wake event arrives.
+// sleep parks the thread until a wake event arrives. An abort can land
+// between this thread's turn and its Blocked flip — a pre-turn failure
+// (Barrier's count check) holds no turn to order it — in which case
+// failLocked's probe scan missed the thread. The Blocked flip (blockLocked)
+// precedes this load and failLocked's aborted store precedes its scan, all
+// sequentially consistent atomics, so either the scan saw Blocked and
+// probed the mailbox or this load sees the abort: the thread never parks
+// with nobody left to wake it.
 func (t *thread) sleep() wakeEvent {
-	//detvet:nativesync the only blocking receive: parks until the monitor-ordered wake event.
-	ev := <-t.wake
+	ev := wakeEvent{abort: true}
+	if !t.exec.aborted.Load() {
+		//detvet:nativesync the only blocking receive: parks until the monitor-ordered wake event.
+		ev = <-t.wake
+	}
 	t.tb.SpanDetail(trace.PhaseBlock, t.blockStart, t.blockedOn)
 	if ev.abort {
 		panic(errAborted)
@@ -712,9 +695,6 @@ func (e *exec) buildReportLocked(elapsed time.Duration) *api.Report {
 	// deterministic output.
 	rep.Phases = e.phases.Render()
 	rep.Races = e.races.Analyze()
-	if e.races != nil {
-		rep.RelaxProfile = e.races.Profile("")
-	}
 	return rep
 }
 
@@ -729,11 +709,7 @@ func (e *exec) gcLocked() {
 	var clocks []vclock.VC
 	for _, t := range e.threads {
 		if t.proc.Status() != kendo.Exited && !t.noComm {
-			// Cloned under histMu: a relaxed (elided) operation may be
-			// bumping its own clock off the turn right now.
-			t.histMu.Lock()
-			clocks = append(clocks, t.vtime.Clone())
-			t.histMu.Unlock()
+			clocks = append(clocks, t.vtime)
 		}
 	}
 	if len(clocks) == 0 {
@@ -754,8 +730,6 @@ func (e *exec) gcLocked() {
 	frontier := vclock.MeetAll(clocks)
 	e.store.Collect(frontier)
 	for _, t := range e.threads {
-		t.histMu.Lock()
 		t.slicePtrs = slicestore.TrimList(t.slicePtrs, frontier)
-		t.histMu.Unlock()
 	}
 }
