@@ -139,9 +139,10 @@ func printReport(runtime, workload string, cfg workloads.Config, rep *api.Report
 	fmt.Printf("  memory:        shared %d KB, runtime %d KB, metadata %d KB of %d KB (GC passes: %d)\n",
 		s.SharedMemBytes/1024, s.RuntimeMemBytes/1024, s.MetadataBytes/1024, s.MetadataCapacity/1024, s.GCCount)
 	if s.SlicesCreated > 0 {
-		fmt.Printf("  slices:        %d created, %d merged away, %d propagated (%d+%d filtered), %d KB moved\n",
+		fmt.Printf("  slices:        %d created, %d merged away, %d propagated (%d+%d filtered), %d KB moved; collect compared %d, skipped %d\n",
 			s.SlicesCreated, s.SlicesMerged, s.SlicesPropagated,
-			s.SlicesFilteredLow, s.SlicesFilteredPremerged, s.BytesPropagated/1024)
+			s.SlicesFilteredLow, s.SlicesFilteredPremerged, s.BytesPropagated/1024,
+			s.CollectScanned, s.CollectSkipped)
 	}
 	if s.LazyPendingApplied > 0 || s.LazyRunsElided > 0 {
 		fmt.Printf("  lazy writes:   %d pended runs applied on access, %d coalesced away untouched\n",

@@ -166,7 +166,7 @@ type Stats struct {
 	SlicesCreated           uint64 // slices ended with a non-empty or empty mod list
 	SlicesMerged            uint64 // slices continued by the slice-merging optimization
 	SlicesPropagated        uint64 // slice propagations into a local thread
-	SlicesFilteredLow       uint64 // propagations skipped by the lowerlimit filter
+	SlicesFilteredLow       uint64 // compared slices the lowerlimit filter rejected (watermark skips count in CollectSkipped)
 	SlicesFilteredPremerged uint64 // propagations skipped because a prelock pre-merge already applied them
 	BytesPropagated         uint64 // modification bytes applied to local memories
 	PrelockBytes            uint64 // modification bytes applied during prelock pre-merge
@@ -202,14 +202,17 @@ type Stats struct {
 	ApplyNanos      uint64 // wall nanos spent applying propagated runs
 
 	// Coalesced write-plan propagation observability. CollectScanned counts
-	// slice pointers examined by acquire-side collections — the O(list)
-	// scan cost the write plan does not remove. SliceListLen is the
+	// slice pointers actually compared by collections; CollectSkipped counts
+	// those a collection stepped over because they lay below its
+	// already-seen watermark. Per collection the two sum to the source
+	// list's length. SliceListLen is the
 	// high-water length of any single collected list. BytesCoalescedAway is
 	// the modification bytes the last-writer-wins plan avoided writing
 	// (input bytes minus unique destination bytes). PlanReuse counts
 	// blocked waiters that reused a release's already-built plan instead of
 	// rebuilding it.
-	CollectScanned     uint64 // slice pointers scanned during collection
+	CollectScanned     uint64 // slice pointers compared during collection
+	CollectSkipped     uint64 // slice pointers stepped over below the watermark
 	SliceListLen       uint64 // high-water collected slice-list length
 	BytesCoalescedAway uint64 // duplicate bytes elided by write plans
 	PlanReuse          uint64 // waiters that shared a cached write plan
@@ -262,6 +265,7 @@ func (s *Stats) Add(other *Stats) {
 	s.DiffNanos += other.DiffNanos
 	s.ApplyNanos += other.ApplyNanos
 	s.CollectScanned += other.CollectScanned
+	s.CollectSkipped += other.CollectSkipped
 	if other.SliceListLen > s.SliceListLen {
 		s.SliceListLen = other.SliceListLen
 	}

@@ -32,6 +32,15 @@ func TestStatsAddAccumulatesCounters(t *testing.T) {
 	}
 }
 
+func TestStatsAddCollectCounters(t *testing.T) {
+	var sum Stats
+	sum.Add(&Stats{CollectScanned: 3, CollectSkipped: 40, SliceListLen: 9})
+	sum.Add(&Stats{CollectScanned: 5, CollectSkipped: 2, SliceListLen: 7})
+	if sum.CollectScanned != 8 || sum.CollectSkipped != 42 || sum.SliceListLen != 9 {
+		t.Fatalf("collect counters wrong: %+v", sum)
+	}
+}
+
 func TestStatsAddTakesMaxOfHighWaters(t *testing.T) {
 	var sum Stats
 	sum.Add(&Stats{SharedMemBytes: 100, RuntimeMemBytes: 50, MetadataBytes: 10})

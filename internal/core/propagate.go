@@ -20,11 +20,12 @@ import (
 //	S.Time ≤ upper   (the upperlimit filter: only happens-before slices)
 //	¬(S.Time ≤ lower) (the lowerlimit filter: skip already-seen slices)
 //
-// where upper is the release's timestamp and lower is t's own clock (or the
-// prelock pre-merge clock). Propagated slices are appended to t's own
-// slice-pointer list, which is what makes propagation transitive, and their
-// modifications are applied to t's memory in list order, which is what makes
-// remote modifications deterministically overwrite local ones.
+// where upper is the release's timestamp (or, for the prelock pre-merge,
+// the holder's current clock) and lower is t's own clock. Propagated slices
+// are appended to t's own slice-pointer list, which is what makes
+// propagation transitive, and their modifications are applied to t's memory
+// in list order, which is what makes remote modifications deterministically
+// overwrite local ones.
 //
 // The work splits into a monitor half and a private half. Collecting walks
 // the releaser's monitor-guarded slice-pointer list, appends to the
@@ -38,20 +39,36 @@ import (
 // spaces, which is only sound while the monitor proves they stay blocked,
 // so those applications remain under the domain (or rendezvous) lock.
 
-// collectLocked gathers the slices to propagate from from's list. Must run
-// inside a monitor section (the list is monitor-guarded). Slices already applied by a prelock
-// pre-merge (t.preMerged) are skipped: the lowerlimit clock cannot represent
-// that set exactly, because the pre-merge may have applied slices that are
-// concurrent with everything the thread had officially seen.
-func (t *thread) collectLocked(from *thread, upper, lower vclock.VC) []*slicestore.Slice {
-	t.st.CollectScanned += uint64(len(from.slicePtrs))
-	if l := uint64(len(from.slicePtrs)); l > t.st.SliceListLen {
+// collectLocked gathers the slices to propagate from from's list, filtered
+// by the upperlimit upper and the lowerlimit t.vtime. Must run inside a
+// monitor section (the list is monitor-guarded). Slices already applied by a
+// prelock pre-merge (t.preMerged) are skipped: the lowerlimit clock cannot
+// represent that set exactly, because the pre-merge may have applied slices
+// that are concurrent with everything the thread had officially seen.
+//
+// The lowerlimit is always the collector's own clock, and that clock only
+// grows (Join, Bump), so a prefix of from's list once found ≤ it stays ≤ it.
+// t.collectMark remembers that prefix per source list, and the walk starts
+// past it: collection costs O(new slices) instead of O(history). The mark is
+// valid while from's list only appends; listGen tells it otherwise (see
+// thread.listGen and DESIGN.md §18).
+func (t *thread) collectLocked(from *thread, upper vclock.VC) []*slicestore.Slice {
+	list := from.slicePtrs
+	if l := uint64(len(list)); l > t.st.SliceListLen {
 		t.st.SliceListLen = l
 	}
+	m := t.markFor(from)
+	t.st.CollectSkipped += uint64(m.n)
+	t.st.CollectScanned += uint64(len(list) - m.n)
+	lower := t.vtime
 	var out []*slicestore.Slice
-	for _, s := range from.slicePtrs {
+	for i := m.n; i < len(list); i++ {
+		s := list[i]
 		if s.Time.Leq(lower) {
 			t.st.SlicesFilteredLow++
+			if i == m.n {
+				m.n++
+			}
 			continue
 		}
 		if t.preMerged != nil && t.preMerged[s] {
@@ -63,6 +80,48 @@ func (t *thread) collectLocked(from *thread, upper, lower vclock.VC) []*slicesto
 		}
 	}
 	return out
+}
+
+// collectMark is a watermark over one source thread's slice-pointer list:
+// while the list's generation is still gen, its first n entries are all ≤
+// the collecting thread's clock.
+type collectMark struct {
+	gen uint64
+	n   int
+}
+
+// markFor returns t's watermark over from's list, growing the per-source
+// table for threads spawned since t last collected and resetting a mark
+// whose list has been rewritten since it was taken.
+func (t *thread) markFor(from *thread) *collectMark {
+	if int(from.id) >= len(t.collectMark) {
+		t.collectMark = append(t.collectMark, make([]collectMark, int(from.id)+1-len(t.collectMark))...)
+	}
+	m := &t.collectMark[from.id]
+	if m.gen != from.listGen {
+		*m = collectMark{gen: from.listGen}
+	}
+	return m
+}
+
+// trimSliceList drops the slices ≤ frontier from t's list (metadata GC).
+// Only a trim that dropped entries shifts the list, so only such a trim
+// starts a new generation: a pass that reclaimed nothing must leave every
+// watermark over the list intact, or a store held above its GC threshold
+// would reset them all on every commit.
+func (t *thread) trimSliceList(frontier vclock.VC) {
+	n := len(t.slicePtrs)
+	t.slicePtrs = slicestore.TrimList(t.slicePtrs, frontier)
+	if len(t.slicePtrs) != n {
+		t.listGen++
+	}
+}
+
+// adoptSliceList replaces t's list with a copy of list (the barrier
+// re-clone), starting a new generation.
+func (t *thread) adoptSliceList(list []*slicestore.Slice) {
+	t.slicePtrs = append(t.slicePtrs[:0], list...)
+	t.listGen++
 }
 
 // planCoalesceMin is the minimum propagated-list length for which building
@@ -272,7 +331,7 @@ func (t *thread) acquireCollectLocked(sh *monShard, sv *syncVar) []*slicestore.S
 	var slices []*slicestore.Slice
 	if sv.lastTid != int32(t.id) {
 		from := t.exec.threads[sv.lastTid]
-		slices = t.collectLocked(from, sv.lastTime, t.vtime)
+		slices = t.collectLocked(from, sv.lastTime)
 		t.slicePtrs = append(t.slicePtrs, slices...)
 	}
 	t.vtime = t.vtime.Join(sv.lastTime)
@@ -289,7 +348,7 @@ func (t *thread) acquireFromCollectLocked(fromTid int32, upper vclock.VC, releas
 	var slices []*slicestore.Slice
 	if fromTid != int32(t.id) {
 		from := t.exec.threads[fromTid]
-		slices = t.collectLocked(from, upper, t.vtime)
+		slices = t.collectLocked(from, upper)
 		t.slicePtrs = append(t.slicePtrs, slices...)
 	}
 	t.vtime = t.vtime.Join(upper)
@@ -358,7 +417,7 @@ func (t *thread) prelockLocked(sv *syncVar) {
 	}
 	holder := t.exec.threads[sv.owner]
 	upper := holder.vtime.Clone()
-	t.premergeLocked(t.collectLocked(holder, upper, t.vtime))
+	t.premergeLocked(t.collectLocked(holder, upper))
 }
 
 // prelockReleaseLocked continues the prelock pre-merge while a thread stays
@@ -391,7 +450,7 @@ func (e *exec) prelockReleaseLocked(sv *syncVar, releaser *thread) {
 	var plan *mem.WritePlan
 	for _, wid := range sv.lockQ.items() {
 		w := e.threads[wid]
-		slices := w.collectLocked(releaser, sv.lastTime, w.vtime)
+		slices := w.collectLocked(releaser, sv.lastTime)
 		if e.opts.NoCoalesce || len(slices) < planCoalesceMin {
 			w.premergeLocked(slices)
 			continue

@@ -730,6 +730,6 @@ func (e *exec) gcLocked() {
 	frontier := vclock.MeetAll(clocks)
 	e.store.Collect(frontier)
 	for _, t := range e.threads {
-		t.slicePtrs = slicestore.TrimList(t.slicePtrs, frontier)
+		t.trimSliceList(frontier)
 	}
 }

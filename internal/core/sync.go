@@ -395,7 +395,7 @@ func (t *thread) Barrier(b api.Addr, n int) {
 	var propagated []*slicestore.Slice
 	for _, a := range arrivals[1:] {
 		from := e.threads[a.tid]
-		slices := leader.collectLocked(from, a.v, leader.vtime)
+		slices := leader.collectLocked(from, a.v)
 		for _, sl := range slices {
 			mergeCost += vtime.ApplyCost(uint64(len(sl.Mods)), sl.Bytes)
 			leader.st.SlicesPropagated++
@@ -434,7 +434,7 @@ func (t *thread) Barrier(b api.Addr, n int) {
 		// Clone does not inherit dirty tracking; re-enable it for the
 		// arrival's next slice.
 		w.enableDirtyTracking()
-		w.slicePtrs = append(w.slicePtrs[:0], leader.slicePtrs...)
+		w.adoptSliceList(leader.slicePtrs)
 		w.vtime = w.vtime.Join(merged)
 		w.preMerged = nil
 		//detvet:orderfree drain-and-release of independent per-page entries; see TestPendingResetOrderFree.

@@ -56,6 +56,17 @@ type thread struct {
 	// this thread (§4.3). Guarded by exec.mu: other threads walk it during
 	// their propagation.
 	slicePtrs []*slicestore.Slice
+	// listGen is the generation of slicePtrs. Between bumps the list only
+	// grows by appending; it is bumped where the list is rewritten — a GC
+	// trim that dropped entries, the barrier re-clone — which invalidates
+	// every collectMark taken over it. Guarded like slicePtrs.
+	listGen uint64
+	// collectMark[f] is this thread's watermark over thread f's
+	// slice-pointer list (collectLocked). Written by this thread's
+	// goroutine, or — while this thread is provably blocked (prelock
+	// pre-merge into a queued waiter, lock grant) — by another thread under
+	// the monitor, the same ownership discipline as st and tb.
+	collectMark []collectMark
 
 	// Current-slice monitoring state: page snapshots in first-touch order.
 	snapshots map[mem.PageID][]byte

@@ -155,8 +155,9 @@ func Table1(out io.Writer, size workloads.Size, threads int) error {
 }
 
 // PropagationTable renders the coalesced write-plan propagation profile of
-// every workload under RFDet-ci (all optimizations): slice pointers scanned
-// by acquire-side collections, the high-water collected-list length, the
+// every workload under RFDet-ci (all optimizations): slice pointers compared
+// by collections and stepped over below their already-seen watermarks, the
+// high-water collected-list length, the
 // propagated and coalesced-away byte volumes, plan reuses by blocked
 // waiters, and the wall time spent in slice application. This is the
 // observability companion to BenchmarkBarrierPropagation /
@@ -164,8 +165,8 @@ func Table1(out io.Writer, size workloads.Size, threads int) error {
 func PropagationTable(out io.Writer, size workloads.Size, threads int) error {
 	cfg := workloads.Config{Threads: threads, Size: size}
 	fmt.Fprintf(out, "Write-plan propagation profile (%d threads, size %s, RFDet-ci)\n\n", threads, size)
-	fmt.Fprintf(out, "%-18s %10s %8s | %12s %12s %7s | %9s %9s\n",
-		"benchmark", "scanned", "maxlist",
+	fmt.Fprintf(out, "%-18s %10s %10s %8s | %12s %12s %7s | %9s %9s\n",
+		"benchmark", "scanned", "skipped", "maxlist",
 		"prop(B)", "away(B)", "away%",
 		"planreuse", "apply-us")
 	for _, w := range workloads.All() {
@@ -178,9 +179,9 @@ func PropagationTable(out io.Writer, size workloads.Size, threads int) error {
 		if s.BytesPropagated > 0 {
 			awayPct = 100 * float64(s.BytesCoalescedAway) / float64(s.BytesPropagated)
 		}
-		fmt.Fprintf(out, "%-18s %10d %8d | %12d %12d %6.1f%% | %9d %9d\n",
+		fmt.Fprintf(out, "%-18s %10d %10d %8d | %12d %12d %6.1f%% | %9d %9d\n",
 			w.Name,
-			s.CollectScanned, s.SliceListLen,
+			s.CollectScanned, s.CollectSkipped, s.SliceListLen,
 			s.BytesPropagated, s.BytesCoalescedAway, awayPct,
 			s.PlanReuse, s.ApplyNanos/1000)
 	}

@@ -17,8 +17,10 @@
 #                   domain count (RFDET_SHARDS) crossed with both metadata
 #                   stores (RFDET_EPOCHSTORE): neither the sharded monitor
 #                   nor the epoch store may be visible to any deterministic
-#                   observable. Plus one iteration of the slice-store churn
-#                   benchmark so the map-vs-epoch comparison stays runnable
+#                   observable. One more pass at a 32 KiB metadata space
+#                   (RFDET_METACAP), where slice GC fires during the runs.
+#                   Plus one iteration of the slice-store churn benchmark so
+#                   the map-vs-epoch comparison stays runnable
 #   8. replicas   — the KV-server divergence check: k=3 replicas of one
 #                   request log across optimization stacks must agree
 #                   byte-for-byte (rfdet-serve exits 1 on divergence)
@@ -60,6 +62,8 @@ for shards in 1 4; do
 		RFDET_SHARDS="$shards" RFDET_EPOCHSTORE="$epochstore" go test -count=1 -run 'TestSeedRegressionTraces|TestSeedRegressionShardCounts|TestSeedRegressionServer|TestSeedRegressionEpochStoreMatches' .
 	done
 done
+echo "    RFDET_METACAP=32768"
+RFDET_METACAP=32768 go test -count=1 -run 'TestSeedRegressionTraces|TestSeedRegressionShardCounts|TestSeedRegressionServer|TestSeedRegressionEpochStoreMatches' .
 
 echo "==> slice-store churn benchmark (1 iteration)"
 go test -run=NONE -bench SliceStoreChurn -benchtime=1x ./internal/slicestore/

@@ -62,16 +62,23 @@ var regressionProcs = []int{1, 2, 4, 8}
 var seedConfig = workloads.Config{Threads: 4, Size: workloads.SizeTest}
 
 // seedTestOptions returns the configuration the goldens were captured with,
-// honoring the RFDET_SHARDS and RFDET_EPOCHSTORE environment variables so CI
-// can sweep the determinism matrix across commit-monitor domain counts and
-// metadata-store implementations without a test-code change. The goldens are
-// independent of both axes by construction — that independence is exactly
-// what the sweep asserts.
+// honoring the RFDET_SHARDS, RFDET_METACAP and RFDET_EPOCHSTORE environment
+// variables so CI can sweep the determinism matrix across commit-monitor
+// domain counts, metadata-space capacities (a small RFDET_METACAP, in bytes,
+// makes slice GC fire throughout every run) and metadata-store
+// implementations without a test-code change. The goldens are independent of
+// all three axes by construction — that independence is exactly what the
+// sweep asserts.
 func seedTestOptions() core.Options {
 	opts := core.DefaultOptions()
 	if s := os.Getenv("RFDET_SHARDS"); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n > 0 {
 			opts.ShardCount = n
+		}
+	}
+	if s := os.Getenv("RFDET_METACAP"); s != "" {
+		if n, err := strconv.ParseUint(s, 10, 64); err == nil && n > 0 {
+			opts.MetadataCapacity = n
 		}
 	}
 	if s := os.Getenv("RFDET_EPOCHSTORE"); s == "0" || s == "off" {
