@@ -12,7 +12,7 @@ test:
 	$(GO) test ./...
 
 race:
-	GOMAXPROCS=4 $(GO) test -race ./internal/core/ ./internal/slicestore/ ./internal/kendo/
+	GOMAXPROCS=4 $(GO) test -race ./internal/core/ ./internal/slicestore/ ./internal/alloc/ ./internal/kendo/
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 10x .

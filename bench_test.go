@@ -16,7 +16,6 @@ import (
 
 	"rfdet"
 	"rfdet/internal/replay"
-	"rfdet/internal/stats"
 	"rfdet/internal/workloads"
 )
 
@@ -373,11 +372,10 @@ func runMonitorContention(b *testing.B, rt rfdet.Runtime) {
 // threads each touch many pages per slice but write only 16 bytes per page,
 // the sparse-write pattern (scattered updates to a large shared structure)
 // where full-page diffing does ~256× more byte comparisons than the writes
-// justify. The "extent" and "fullpage" variants run the identical program
-// with extent-guided and seed-style full-page slice diffing; "diff-ns" is
-// the wall time spent in slice-end diffing, "scanned-bytes"/"skipped-bytes"
-// the new Stats counters. The final "speedup" entry reports the
-// fullpage/extent diff-time ratio — the tentpole's headline number.
+// justify. "diff-ns" is the wall time spent in slice-end diffing,
+// "scanned-bytes"/"skipped-bytes" what the extent-guided diff read and
+// skipped. mem.TestDiffExtentsEquivalence pins the equivalence with
+// full-page diffing.
 func BenchmarkSparseWriteDiff(b *testing.B) {
 	const (
 		workers = 4
@@ -414,47 +412,34 @@ func BenchmarkSparseWriteDiff(b *testing.B) {
 		}
 		t.Observe(fold)
 	}
-	var diffNS [2]float64 // extent, fullpage
-	var hash [2]uint64
-	for vi, variant := range []struct {
-		name     string
-		fullPage bool
-	}{{"extent", false}, {"fullpage", true}} {
-		vi, variant := vi, variant
-		b.Run(variant.name, func(b *testing.B) {
-			opts := rfdet.DefaultOptions()
-			opts.FullPageDiff = variant.fullPage
-			rt := rfdet.New(opts)
-			var st rfdet.Stats
-			var first uint64
-			for i := 0; i < b.N; i++ {
-				rep, err := rt.Run(prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					first = rep.OutputHash
-				} else if rep.OutputHash != first {
-					b.Fatal("sparse-write benchmark nondeterministic across iterations")
-				}
-				st = rep.Stats
-			}
-			hash[vi] = first
-			diffNS[vi] = float64(st.DiffNanos)
-			b.ReportMetric(float64(st.DiffNanos), "diff-ns")
-			b.ReportMetric(float64(st.DiffBytesScanned), "scanned-bytes")
-			b.ReportMetric(float64(st.DiffBytesSkipped), "skipped-bytes")
-			b.ReportMetric(float64(st.DirtyExtents), "extents")
-		})
+	st := runStable(b, rfdet.DefaultOptions(), prog, "sparse-write")
+	b.ReportMetric(float64(st.DiffNanos), "diff-ns")
+	b.ReportMetric(float64(st.DiffBytesScanned), "scanned-bytes")
+	b.ReportMetric(float64(st.DiffBytesSkipped), "skipped-bytes")
+	b.ReportMetric(float64(st.DirtyExtents), "extents")
+}
+
+// runStable runs prog b.N times on a runtime with opts, failing the
+// benchmark if the output hash moves between iterations, and returns the
+// last run's Stats.
+func runStable(b *testing.B, opts rfdet.Options, prog rfdet.ThreadFunc, what string) rfdet.Stats {
+	b.Helper()
+	rt := rfdet.New(opts)
+	var st rfdet.Stats
+	var first uint64
+	for i := 0; i < b.N; i++ {
+		rep, err := rt.Run(prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			first = rep.OutputHash
+		} else if rep.OutputHash != first {
+			b.Fatalf("%s benchmark nondeterministic across iterations", what)
+		}
+		st = rep.Stats
 	}
-	b.Run("speedup", func(b *testing.B) {
-		if hash[0] != hash[1] {
-			b.Fatalf("extent and fullpage outputs differ: %#x != %#x", hash[0], hash[1])
-		}
-		for i := 0; i < b.N; i++ {
-		}
-		b.ReportMetric(stats.Ratio(diffNS[1], diffNS[0]), "diff-speedup-x")
-	})
+	return st
 }
 
 // BenchmarkBarrierPropagation is the coalesced write-plan headline: eight
@@ -462,10 +447,9 @@ func BenchmarkSparseWriteDiff(b *testing.B) {
 // barrier merge propagates 7 overlapping full-region write sets whose
 // last-writer-wins image is exactly one region. The seed applied all of them
 // run by run (O(threads × bytes) under the monitor); the write plan applies
-// each destination byte once (O(unique bytes)). Both variants run the
-// identical program and must produce the identical output hash; "apply-ns"
-// is the wall time in slice application and the final "speedup" entry is
-// the nocoalesce/coalesce apply-time ratio — the acceptance target is ≥2×.
+// each destination byte once (O(unique bytes)). "apply-ns" is the wall time
+// in slice application. mem.TestPlanEquivalentToSequentialApply pins the
+// equivalence with run-by-run application.
 func BenchmarkBarrierPropagation(b *testing.B) {
 	const (
 		workers = 8
@@ -502,54 +486,18 @@ func BenchmarkBarrierPropagation(b *testing.B) {
 		}
 		t.Observe(fold)
 	}
-	var applyNS [2]float64 // coalesce, nocoalesce
-	var hash [2]uint64
-	for vi, variant := range []struct {
-		name       string
-		noCoalesce bool
-	}{{"coalesce", false}, {"nocoalesce", true}} {
-		vi, variant := vi, variant
-		b.Run(variant.name, func(b *testing.B) {
-			opts := rfdet.DefaultOptions()
-			opts.NoCoalesce = variant.noCoalesce
-			rt := rfdet.New(opts)
-			var st rfdet.Stats
-			var first uint64
-			for i := 0; i < b.N; i++ {
-				rep, err := rt.Run(prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					first = rep.OutputHash
-				} else if rep.OutputHash != first {
-					b.Fatal("barrier benchmark nondeterministic across iterations")
-				}
-				st = rep.Stats
-			}
-			hash[vi] = first
-			applyNS[vi] = float64(st.ApplyNanos)
-			b.ReportMetric(float64(st.ApplyNanos), "apply-ns")
-			b.ReportMetric(float64(st.BytesPropagated), "propagated-bytes")
-			b.ReportMetric(float64(st.BytesCoalescedAway), "coalesced-away-bytes")
-		})
-	}
-	b.Run("speedup", func(b *testing.B) {
-		if hash[0] != hash[1] {
-			b.Fatalf("coalesce and nocoalesce outputs differ: %#x != %#x", hash[0], hash[1])
-		}
-		for i := 0; i < b.N; i++ {
-		}
-		b.ReportMetric(stats.Ratio(applyNS[1], applyNS[0]), "apply-speedup-x")
-	})
+	st := runStable(b, rfdet.DefaultOptions(), prog, "barrier")
+	b.ReportMetric(float64(st.ApplyNanos), "apply-ns")
+	b.ReportMetric(float64(st.BytesPropagated), "propagated-bytes")
+	b.ReportMetric(float64(st.BytesCoalescedAway), "coalesced-away-bytes")
 }
 
 // BenchmarkLockChainPropagation measures plan construction and sharing on a
 // deep lock-grant chain: six threads contend one mutex, each critical
 // section split into several slices by an atomic, with Prelock pre-merging
-// at every release. With coalescing, each release builds one plan and the
-// lockstep waiters reuse it ("plan-reuse"); overlapping writes across the
-// collected slices are deduplicated ("coalesced-away-bytes").
+// at every release. Each release builds one plan and the lockstep waiters
+// reuse it ("plan-reuse"); overlapping writes across the collected slices
+// are deduplicated ("coalesced-away-bytes").
 func BenchmarkLockChainPropagation(b *testing.B) {
 	const (
 		workers = 6
@@ -580,56 +528,19 @@ func BenchmarkLockChainPropagation(b *testing.B) {
 		}
 		t.Observe(t.Load64(buf), t.Load64(atom))
 	}
-	var applyNS [2]float64
-	var hash [2]uint64
-	for vi, variant := range []struct {
-		name       string
-		noCoalesce bool
-	}{{"coalesce", false}, {"nocoalesce", true}} {
-		vi, variant := vi, variant
-		b.Run(variant.name, func(b *testing.B) {
-			opts := rfdet.DefaultOptions()
-			opts.NoCoalesce = variant.noCoalesce
-			rt := rfdet.New(opts)
-			var st rfdet.Stats
-			var first uint64
-			for i := 0; i < b.N; i++ {
-				rep, err := rt.Run(prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					first = rep.OutputHash
-				} else if rep.OutputHash != first {
-					b.Fatal("lock-chain benchmark nondeterministic across iterations")
-				}
-				st = rep.Stats
-			}
-			hash[vi] = first
-			applyNS[vi] = float64(st.ApplyNanos)
-			b.ReportMetric(float64(st.ApplyNanos), "apply-ns")
-			b.ReportMetric(float64(st.PlanReuse), "plan-reuse")
-			b.ReportMetric(float64(st.BytesCoalescedAway), "coalesced-away-bytes")
-			b.ReportMetric(float64(st.CollectScanned), "collect-scanned")
-		})
-	}
-	b.Run("speedup", func(b *testing.B) {
-		if hash[0] != hash[1] {
-			b.Fatalf("coalesce and nocoalesce outputs differ: %#x != %#x", hash[0], hash[1])
-		}
-		for i := 0; i < b.N; i++ {
-		}
-		b.ReportMetric(stats.Ratio(applyNS[1], applyNS[0]), "apply-speedup-x")
-	})
+	st := runStable(b, rfdet.DefaultOptions(), prog, "lock-chain")
+	b.ReportMetric(float64(st.ApplyNanos), "apply-ns")
+	b.ReportMetric(float64(st.PlanReuse), "plan-reuse")
+	b.ReportMetric(float64(st.BytesCoalescedAway), "coalesced-away-bytes")
+	b.ReportMetric(float64(st.CollectScanned), "collect-scanned")
 }
 
 // BenchmarkLazyFlush measures the lazy-writes pending patch: a writer
 // repeatedly overwrites the same two pages under a lock while the consumer
 // keeps acquiring the lock without touching those pages, so every round
-// pends another full overwrite. The coalescing patch absorbs them
-// last-writer-wins and the single eventual flush writes each byte once; the
-// seed's raw list replayed every pended run. "elided-bytes" counts the
-// overwritten bytes the flush never wrote.
+// pends another full overwrite. The pending patch absorbs them
+// last-writer-wins and the single eventual flush writes each byte once.
+// "elided-bytes" counts the overwritten bytes the flush never wrote.
 func BenchmarkLazyFlush(b *testing.B) {
 	const (
 		rounds = 60
@@ -660,46 +571,14 @@ func BenchmarkLazyFlush(b *testing.B) {
 		t.Join(writer)
 		t.Observe(t.Load64(hot), t.Load64(hot+rfdet.Addr(8*(words-1))), t.Load64(flag))
 	}
-	var hash [2]uint64
-	for vi, variant := range []struct {
-		name       string
-		noCoalesce bool
-	}{{"coalesce", false}, {"nocoalesce", true}} {
-		vi, variant := vi, variant
-		b.Run(variant.name, func(b *testing.B) {
-			opts := rfdet.DefaultOptions()
-			opts.NoCoalesce = variant.noCoalesce
-			if !opts.LazyWrites {
-				b.Fatal("default options lost lazy writes")
-			}
-			rt := rfdet.New(opts)
-			var st rfdet.Stats
-			var first uint64
-			for i := 0; i < b.N; i++ {
-				rep, err := rt.Run(prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					first = rep.OutputHash
-				} else if rep.OutputHash != first {
-					b.Fatal("lazy-flush benchmark nondeterministic across iterations")
-				}
-				st = rep.Stats
-			}
-			hash[vi] = first
-			b.ReportMetric(float64(st.LazyPendingApplied), "pended-runs-applied")
-			b.ReportMetric(float64(st.LazyRunsElided), "elided-bytes")
-			b.ReportMetric(float64(st.ApplyNanos), "apply-ns")
-		})
+	opts := rfdet.DefaultOptions()
+	if !opts.LazyWrites {
+		b.Fatal("default options lost lazy writes")
 	}
-	b.Run("agree", func(b *testing.B) {
-		if hash[0] != hash[1] {
-			b.Fatalf("coalesce and nocoalesce outputs differ: %#x != %#x", hash[0], hash[1])
-		}
-		for i := 0; i < b.N; i++ {
-		}
-	})
+	st := runStable(b, opts, prog, "lazy-flush")
+	b.ReportMetric(float64(st.LazyPendingApplied), "pended-runs-applied")
+	b.ReportMetric(float64(st.LazyRunsElided), "elided-bytes")
+	b.ReportMetric(float64(st.ApplyNanos), "apply-ns")
 }
 
 // BenchmarkRecordingOverhead quantifies the §2 comparison between DMT and
@@ -738,8 +617,7 @@ func BenchmarkRecordingOverhead(b *testing.B) {
 }
 
 // BenchmarkServerThroughput measures the deterministic KV server — the
-// replica workload — under the default, full-page-diff and uncoalesced
-// stacks, reporting requests per second against both clocks: "req-s-virtual"
+// replica workload — under the default and race-detecting stacks, reporting requests per second against both clocks: "req-s-virtual"
 // divides the request count by the deterministic virtual-time makespan (the
 // figure replicas must agree on), "req-s-host" by host wall time. Every
 // variant must produce the same state hash, response hash and virtual time
@@ -757,14 +635,9 @@ func BenchmarkServerThroughput(b *testing.B) {
 		opts func() rfdet.Options
 	}{
 		{"default", rfdet.DefaultOptions},
-		{"fullpagediff", func() rfdet.Options {
+		{"racedetect", func() rfdet.Options {
 			o := rfdet.DefaultOptions()
-			o.FullPageDiff = true
-			return o
-		}},
-		{"nocoalesce", func() rfdet.Options {
-			o := rfdet.DefaultOptions()
-			o.NoCoalesce = true
+			o.RaceDetect = true
 			return o
 		}},
 	}

@@ -5,9 +5,9 @@
 //
 //	rfdet-serve                          3 replicas across optimization stacks
 //	rfdet-serve -replicas 6 -threads 8   wider fleet, 8 worker threads each
-//	rfdet-serve -matrix                  the full 18-variant acceptance matrix
+//	rfdet-serve -matrix                  the full 12-variant acceptance matrix
 //	                                     (GOMAXPROCS {1,4,8} × shards {1,4} ×
-//	                                      {default, fullpagediff, nocoalesce})
+//	                                      {default, racedetect})
 //	rfdet-serve -inject-abort            poison one replica's log: it must be
 //	                                     reported divergent-by-abort, the rest
 //	                                     must still agree
@@ -36,7 +36,7 @@ func main() {
 	replicas := flag.Int("replicas", 3, "replica count (cycles the optimization stacks)")
 	seed := flag.Uint64("seed", workloads.DefaultServerSeed, "request-log seed")
 	shards := flag.Int("shards", 0, "commit-monitor domains per replica (0 = per-variant default)")
-	matrix := flag.Bool("matrix", false, "run the full 18-variant acceptance matrix instead of -replicas")
+	matrix := flag.Bool("matrix", false, "run the full 12-variant acceptance matrix instead of -replicas")
 	injectAbort := flag.Bool("inject-abort", false, "poison the last replica's log to demonstrate divergent-by-abort reporting")
 	flag.Parse()
 

@@ -119,7 +119,8 @@ func fuzzProgram(seed int64, raceFree bool) rfdet.ThreadFunc {
 }
 
 // TestFuzzDeterminism runs each generated program repeatedly on each
-// deterministic runtime and demands identical hashes.
+// deterministic runtime and demands identical hashes. Every run must also
+// unwind completely: no thread or worker goroutine outlives it.
 func TestFuzzDeterminism(t *testing.T) {
 	seeds := 25
 	if testing.Short() {
@@ -137,18 +138,20 @@ func TestFuzzDeterminism(t *testing.T) {
 		for _, mk := range runtimes {
 			rt := mk()
 			var first uint64
-			for i := 0; i < 3; i++ {
-				rep, err := rt.Run(prog)
-				if err != nil {
-					t.Fatalf("seed %d on %s: %v", seed, rt.Name(), err)
+			noGoroutineLeak(t, func() {
+				for i := 0; i < 3; i++ {
+					rep, err := rt.Run(prog)
+					if err != nil {
+						t.Fatalf("seed %d on %s: %v", seed, rt.Name(), err)
+					}
+					if i == 0 {
+						first = rep.OutputHash
+					} else if rep.OutputHash != first {
+						t.Fatalf("seed %d on %s: run %d hash %#x != %#x",
+							seed, rt.Name(), i, rep.OutputHash, first)
+					}
 				}
-				if i == 0 {
-					first = rep.OutputHash
-				} else if rep.OutputHash != first {
-					t.Fatalf("seed %d on %s: run %d hash %#x != %#x",
-						seed, rt.Name(), i, rep.OutputHash, first)
-				}
-			}
+			})
 		}
 	}
 }
@@ -242,95 +245,6 @@ func TestFuzzOrderPreservingOptionsAgreeOnRaces(t *testing.T) {
 	}
 }
 
-// TestFuzzFullPageDiffAgrees: extent-guided slice diffing must be invisible
-// to program results. The dirty extents are a superset of each slice's
-// written bytes and diffing inside them excludes same-value overwrites
-// exactly like the full-page scan, so the modification lists — and therefore
-// every propagated byte — are identical with Options.FullPageDiff on or off.
-// That makes this a *strict* equivalence: even racy programs, under either
-// monitor and with the order-preserving optimizations stacked on, must
-// produce bit-identical output hashes.
-func TestFuzzFullPageDiffAgrees(t *testing.T) {
-	seeds := 12
-	if testing.Short() {
-		seeds = 4
-	}
-	bases := []rfdet.Options{
-		{Monitor: rfdet.MonitorCI},
-		{Monitor: rfdet.MonitorPF},
-		{Monitor: rfdet.MonitorCI, LazyWrites: true},
-		{Monitor: rfdet.MonitorCI, SliceMerging: true, Prelock: true},
-	}
-	for seed := int64(700); seed < 700+int64(seeds); seed++ {
-		prog := fuzzProgram(seed, false)
-		for _, base := range bases {
-			var hashes [2]uint64
-			for i, full := range []bool{false, true} {
-				o := base
-				o.FullPageDiff = full
-				rep, err := rfdet.New(o).Run(prog)
-				if err != nil {
-					t.Fatalf("seed %d opts %+v: %v", seed, o, err)
-				}
-				hashes[i] = rep.OutputHash
-			}
-			if hashes[0] != hashes[1] {
-				t.Fatalf("seed %d opts %+v: extent-guided diff changed the result (%#x != %#x)",
-					seed, base, hashes[0], hashes[1])
-			}
-		}
-	}
-}
-
-// TestFuzzNoCoalesceAgrees: coalesced write-plan propagation must be
-// invisible to program results. A plan writes, for every destination byte,
-// the value of the last run in slice-list order that covers it — exactly the
-// byte each propagated list leaves behind when applied run by run — and the
-// virtual-time model still charges per-slice apply costs. So this is a
-// *strict* equivalence like FullPageDiff: even racy programs, under either
-// monitor, with prelock plan sharing and lazy-writes patch pending stacked
-// on, at any GOMAXPROCS, must produce bit-identical output hashes with
-// Options.NoCoalesce on or off.
-func TestFuzzNoCoalesceAgrees(t *testing.T) {
-	seeds := 10
-	if testing.Short() {
-		seeds = 3
-	}
-	bases := []rfdet.Options{
-		{Monitor: rfdet.MonitorCI},
-		{Monitor: rfdet.MonitorPF},
-		{Monitor: rfdet.MonitorCI, SliceMerging: true, Prelock: true},
-		{Monitor: rfdet.MonitorCI, LazyWrites: true},
-		{Monitor: rfdet.MonitorCI, SliceMerging: true, Prelock: true, LazyWrites: true},
-		{Monitor: rfdet.MonitorPF, SliceMerging: true, Prelock: true, LazyWrites: true},
-	}
-	for seed := int64(900); seed < 900+int64(seeds); seed++ {
-		prog := fuzzProgram(seed, false)
-		for _, base := range bases {
-			var first uint64
-			haveFirst := false
-			for _, noCoalesce := range []bool{false, true} {
-				for _, procs := range []int{1, 2, 4, 8} {
-					old := runtime.GOMAXPROCS(procs)
-					o := base
-					o.NoCoalesce = noCoalesce
-					rep, err := rfdet.New(o).Run(prog)
-					runtime.GOMAXPROCS(old)
-					if err != nil {
-						t.Fatalf("seed %d opts %+v P=%d: %v", seed, o, procs, err)
-					}
-					if !haveFirst {
-						first, haveFirst = rep.OutputHash, true
-					} else if rep.OutputHash != first {
-						t.Fatalf("seed %d opts %+v P=%d: coalescing changed the result (%#x != %#x)",
-							seed, base, procs, rep.OutputHash, first)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestFuzzServerReplicasAgree is the end-to-end replica fuzz wall: for random
 // request-log seeds and worker-thread counts, k replicas of the KV server
 // across differing optimization stacks, shard counts and GOMAXPROCS must
@@ -348,19 +262,18 @@ func TestFuzzServerReplicasAgree(t *testing.T) {
 		threads := 2 + int(seed%4) // 2..5 workers, derived from the seed
 		cfg := workloads.Config{Threads: threads, Size: workloads.SizeTest}
 
-		mk := func(name string, shards, procs int, full, noCo bool) harness.ReplicaVariant {
+		mk := func(name string, shards, procs int, race bool) harness.ReplicaVariant {
 			opts := core.DefaultOptions()
 			opts.ShardCount = shards
-			opts.FullPageDiff = full
-			opts.NoCoalesce = noCo
+			opts.RaceDetect = race
 			return harness.ReplicaVariant{Name: name, Procs: procs, Opts: opts}
 		}
 		variants := []harness.ReplicaVariant{
-			mk("default/p1", core.DefaultOptions().ShardCount, 1, false, false),
-			mk("fullpagediff/p4", core.DefaultOptions().ShardCount, 4, true, false),
-			mk("nocoalesce/p8", core.DefaultOptions().ShardCount, 8, false, true),
-			mk("shards1/p4", 1, 4, false, false),
-			mk("shards4-full-noco/p2", 4, 2, true, true),
+			mk("default/p1", core.DefaultOptions().ShardCount, 1, false),
+			mk("racedetect/p4", core.DefaultOptions().ShardCount, 4, true),
+			mk("racedetect/p8", core.DefaultOptions().ShardCount, 8, true),
+			mk("shards1/p4", 1, 4, false),
+			mk("shards4-racedetect/p2", 4, 2, true),
 		}
 		rep := harness.RunServerReplicas(cfg, seed, variants)
 		if rep.Divergent() {
@@ -407,8 +320,8 @@ func TestFuzzValidated(t *testing.T) {
 // every deterministic observable. All monitor-state mutation happens while
 // holding the deterministic turn, so splitting the monitor into per-address-
 // range domains changes which host mutex covers the residual windows, never
-// the order of any clock join — a strict equivalence like FullPageDiff and
-// NoCoalesce. Even racy programs, under either monitor, with the full
+// the order of any clock join — a strict equivalence. Even racy programs,
+// under either monitor, with the full
 // optimization stack, at any GOMAXPROCS, must produce bit-identical output
 // hashes AND virtual times with one domain (the seed's global monitor) or
 // four.
@@ -450,16 +363,17 @@ func TestFuzzShardCountAgrees(t *testing.T) {
 	}
 }
 
-// TestFuzzEpochStoreAgrees: the epoch-based metadata store must be invisible
-// to every deterministic observable. Like the shard-count wall above, this
-// is a strict equivalence: the store only changes *how* collected slices'
-// bytes are reclaimed (whole arena-backed segments vs a map sweep) and how
-// commit payloads are owned (interned vs caller-retained) — never which
-// slices exist, which propagation filters pass, or when GC passes run. Even
-// racy programs, under either store, with the full optimization stack, at
+// TestFuzzGCPressureAgrees: metadata GC must be invisible to every
+// deterministic observable. A pass drops only slices ≤ the meet of all live
+// clocks — slices every thread has already merged, which no propagation
+// filter can select again — so a metadata space small enough for GC to fire
+// throughout the run must reproduce the default capacity's results. Even
+// racy programs, under either monitor, with the full optimization stack, at
 // any GOMAXPROCS and either monitor shard count, must produce bit-identical
-// output hashes AND virtual times.
-func TestFuzzEpochStoreAgrees(t *testing.T) {
+// output hashes AND virtual times. At 8 KiB GC fires on many of these
+// programs; the wall fails if it never fires, since it would then compare
+// nothing.
+func TestFuzzGCPressureAgrees(t *testing.T) {
 	seeds := 10
 	if testing.Short() {
 		seeds = 3
@@ -470,32 +384,41 @@ func TestFuzzEpochStoreAgrees(t *testing.T) {
 		{Monitor: rfdet.MonitorCI, SliceMerging: true, Prelock: true, LazyWrites: true},
 		{Monitor: rfdet.MonitorPF, SliceMerging: true, Prelock: true, LazyWrites: true},
 	}
+	var runs, gcRuns int
 	for seed := int64(1700); seed < 1700+int64(seeds); seed++ {
 		prog := fuzzProgram(seed, false)
 		for _, base := range bases {
 			var firstOut, firstVT uint64
 			haveFirst := false
-			for _, epoch := range []bool{false, true} {
+			for _, capacity := range []uint64{0, 8 << 10} {
 				for _, shards := range []int{1, 4} {
 					for _, procs := range []int{1, 2, 4, 8} {
 						old := runtime.GOMAXPROCS(procs)
 						o := base
-						o.EpochStore = epoch
+						o.MetadataCapacity = capacity
 						o.ShardCount = shards
 						rep, err := rfdet.New(o).Run(prog)
 						runtime.GOMAXPROCS(old)
 						if err != nil {
-							t.Fatalf("seed %d opts %+v epoch=%v shards=%d P=%d: %v", seed, base, epoch, shards, procs, err)
+							t.Fatalf("seed %d opts %+v cap=%d shards=%d P=%d: %v", seed, base, capacity, shards, procs, err)
+						}
+						runs++
+						if rep.Stats.GCCount > 0 {
+							gcRuns++
 						}
 						if !haveFirst {
 							firstOut, firstVT, haveFirst = rep.OutputHash, rep.VirtualTime, true
 						} else if rep.OutputHash != firstOut || rep.VirtualTime != firstVT {
-							t.Fatalf("seed %d opts %+v epoch=%v shards=%d P=%d: store changed the result (output %#x vtime %d != %#x %d)",
-								seed, base, epoch, shards, procs, rep.OutputHash, rep.VirtualTime, firstOut, firstVT)
+							t.Fatalf("seed %d opts %+v cap=%d shards=%d P=%d: GC changed the result (output %#x vtime %d != %#x %d)",
+								seed, base, capacity, shards, procs, rep.OutputHash, rep.VirtualTime, firstOut, firstVT)
 						}
 					}
 				}
 			}
 		}
 	}
+	if gcRuns == 0 {
+		t.Fatal("metadata GC never fired: the wall compared no GC-pressured run")
+	}
+	t.Logf("metadata GC fired in %d of %d runs", gcRuns, runs)
 }

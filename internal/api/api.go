@@ -151,10 +151,9 @@ type Stats struct {
 	GCCount       uint64 // reclaiming slice garbage-collection passes
 	GCEmptyPasses uint64 // GC passes that reclaimed nothing
 
-	// Epoch-store observability (Options.EpochStore; internal/slicestore
-	// epoch.go). Segment counts and arena-recycling counters from the
-	// log-structured metadata space; all zero under the map store. Chunk
-	// reuse is host-dependent observability (it depends on when GC passes
+	// Epoch-store observability (internal/slicestore epoch.go). Segment
+	// counts and arena-recycling counters from the log-structured metadata
+	// space. Chunk reuse is host-dependent observability (it depends on when GC passes
 	// land relative to commits), never part of the deterministic output.
 	StoreSegments        uint64 // live epoch segments at run end
 	StoreSegmentsDropped uint64 // whole segments reclaimed by GC

@@ -87,18 +87,6 @@ type Options struct {
 	// GCThresholdPct triggers slice garbage collection at this metadata
 	// usage percentage (default 90 as in §5.4).
 	GCThresholdPct int
-	// EpochStore selects the log-structured epoch implementation of the
-	// metadata space (slicestore.EpochStore): commits append into per-stripe
-	// arena-backed segments whose run payloads are interned and recycled,
-	// and garbage collection drops whole segments against the vclock
-	// frontier instead of sweeping a map under a mutex. Off reproduces the
-	// seed's map store. Results are identical either way — the store only
-	// changes how payload memory is owned and reclaimed, never which bytes
-	// a reader sees — so outputs, virtual times, traces and race reports
-	// are bit-identical across this option (pinned by the fuzz and
-	// seed-regression walls, RFDET_EPOCHSTORE axis). DefaultOptions enables
-	// it.
-	EpochStore bool
 	// NoCommHint implements the eager-collection extension sketched at the
 	// end of §5.4: it names threads that the programmer asserts never
 	// communicate through shared memory after their creation (pure fork/
@@ -110,27 +98,6 @@ type Options struct {
 	// them, exactly the caveat the paper attaches to the idea; the result
 	// is still deterministic.
 	NoCommHint func(tid int32) bool
-	// FullPageDiff disables sub-page dirty tracking and the extent-guided
-	// diff fast path: slice-end diffing byte-scans every snapshotted page in
-	// full, exactly as the seed runtime did and as the paper's implementation
-	// must (mprotect write detection only learns page granularity, §4.2).
-	// Results are identical either way — the fast path only changes which
-	// bytes are *scanned*, never which modifications are found — so this
-	// option exists for the equivalence tests and the before/after
-	// benchmarks (BenchmarkSparseWriteDiff).
-	FullPageDiff bool
-	// NoCoalesce disables coalesced write-plan propagation: every propagated
-	// slice is applied (or lazily pended) run-by-run in list order, exactly
-	// as the seed runtime did. The default plan path collapses the ordered
-	// slice list into one last-writer-wins plan per page, writes each unique
-	// destination byte once, and shares the plan across blocked waiters that
-	// collected the identical list — while the virtual-time model still
-	// charges per-slice ApplyCost, so outputs, virtual times and traces are
-	// bit-identical either way (the final value of every byte is its last
-	// writer in list order under both schemes). This option exists for the
-	// equivalence tests and the before/after benchmarks
-	// (BenchmarkBarrierPropagation, BenchmarkLockChainPropagation).
-	NoCoalesce bool
 	// Validate enables the post-execution DLRC invariant checker (tests).
 	Validate bool
 	// Trace records every synchronization operation in deterministic
@@ -163,7 +130,6 @@ func DefaultOptions() Options {
 		Prelock:      true,
 		LazyWrites:   true,
 		ShardCount:   4,
-		EpochStore:   true,
 	}
 }
 
@@ -196,7 +162,7 @@ type exec struct {
 	opts   Options
 	sched  *kendo.Sched
 	alloc  *alloc.Allocator
-	store  slicestore.Store
+	store  *slicestore.EpochStore
 	tracer *tracer
 	// phases is the phase-level observability collector (nil unless
 	// Options.PhaseTrace): per-thread wall-clock span buffers, rendered
@@ -342,11 +308,7 @@ func newExec(opts Options) *exec {
 		sched:   kendo.NewSched(),
 		alloc:   alloc.New(),
 		diffSem: make(chan struct{}, workers), //detvet:nativesync semaphore bounding the diff worker pool; tokens carry no data.
-	}
-	if opts.EpochStore {
-		e.store = slicestore.NewEpochStore(opts.MetadataCapacity, opts.GCThresholdPct, opts.ShardCount)
-	} else {
-		e.store = slicestore.NewStriped(opts.MetadataCapacity, opts.GCThresholdPct, opts.ShardCount)
+		store:   slicestore.NewEpochStore(opts.MetadataCapacity, opts.GCThresholdPct, opts.ShardCount),
 	}
 	for i := 0; i < opts.ShardCount; i++ {
 		e.shards = append(e.shards, &monShard{id: i, syncvars: make(map[api.Addr]*syncVar)})

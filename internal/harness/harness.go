@@ -190,48 +190,33 @@ func PropagationTable(out io.Writer, size workloads.Size, threads int) error {
 	return nil
 }
 
-// SliceStoreTable profiles the metadata space under both store
-// implementations: every workload runs once with the seed map store and once
-// with the epoch store (all other options identical), asserting bit-identical
-// output and virtual time — the store is pure bookkeeping — and reporting
-// the high-water metadata footprint, the GC pass split (reclaiming vs
-// empty), and the epoch store's segment and arena-recycling counters.
+// SliceStoreTable profiles the metadata space: every workload runs once on
+// RFDet-ci, reporting the high-water metadata footprint, the GC pass split
+// (reclaiming vs empty), and the epoch store's segment and arena-recycling
+// counters.
 func SliceStoreTable(out io.Writer, size workloads.Size, threads int) error {
 	cfg := workloads.Config{Threads: threads, Size: size}
 	fmt.Fprintf(out, "Metadata-store profile (%d threads, size %s, RFDet-ci)\n\n", threads, size)
-	fmt.Fprintf(out, "%-18s | %9s %5s %6s | %9s %5s %6s %6s %8s %7s %10s\n",
-		"benchmark",
-		"map(KB)", "gc", "empty",
-		"epoch(KB)", "gc", "empty", "segs", "drop", "reuse%", "intern(KB)")
+	fmt.Fprintf(out, "%-18s | %9s %5s %6s %6s %8s %7s %10s\n",
+		"benchmark", "meta(KB)", "gc", "empty", "segs", "drop", "reuse%", "intern(KB)")
 	for _, w := range workloads.All() {
-		mapOpts := core.DefaultOptions()
-		mapOpts.EpochStore = false
-		mr, err := Run(core.New(mapOpts), w, cfg, 1)
+		r, err := Run(core.New(core.DefaultOptions()), w, cfg, 1)
 		if err != nil {
 			return err
 		}
-		er, err := Run(core.New(core.DefaultOptions()), w, cfg, 1)
-		if err != nil {
-			return err
-		}
-		if mr.Report.OutputHash != er.Report.OutputHash || mr.Report.VirtualTime != er.Report.VirtualTime {
-			return fmt.Errorf("%s: stores disagree (map output=%#x vtime=%d, epoch output=%#x vtime=%d)",
-				w.Name, mr.Report.OutputHash, mr.Report.VirtualTime, er.Report.OutputHash, er.Report.VirtualTime)
-		}
-		ms, es := mr.Report.Stats, er.Report.Stats
+		s := r.Report.Stats
 		reusePct := 0.0
-		if gets := es.ArenaChunksAllocated + es.ArenaChunksReused; gets > 0 {
-			reusePct = 100 * float64(es.ArenaChunksReused) / float64(gets)
+		if gets := s.ArenaChunksAllocated + s.ArenaChunksReused; gets > 0 {
+			reusePct = 100 * float64(s.ArenaChunksReused) / float64(gets)
 		}
-		fmt.Fprintf(out, "%-18s | %9d %5d %6d | %9d %5d %6d %6d %8d %6.1f%% %10d\n",
+		fmt.Fprintf(out, "%-18s | %9d %5d %6d %6d %8d %6.1f%% %10d\n",
 			w.Name,
-			ms.MetadataBytes/1024, ms.GCCount, ms.GCEmptyPasses,
-			es.MetadataBytes/1024, es.GCCount, es.GCEmptyPasses,
-			es.StoreSegments, es.StoreSegmentsDropped, reusePct,
-			es.ArenaBytesInterned/1024)
+			s.MetadataBytes/1024, s.GCCount, s.GCEmptyPasses,
+			s.StoreSegments, s.StoreSegmentsDropped, reusePct,
+			s.ArenaBytesInterned/1024)
 	}
-	fmt.Fprintln(out, "\nBoth columns ran the same programs to the same outputs and virtual times;")
-	fmt.Fprintln(out, "the store only changes how collected slices' bytes are reclaimed (§4.5).")
+	fmt.Fprintln(out, "\n\"gc\" counts passes that reclaimed slices, \"empty\" passes that found nothing")
+	fmt.Fprintln(out, "below the frontier; \"reuse%\" is the share of arena chunk gets served by recycling.")
 	return nil
 }
 

@@ -29,7 +29,7 @@ import (
 // here is host-side strategy: none of it may change a deterministic
 // observable, which is exactly what the divergence check enforces.
 type ReplicaVariant struct {
-	// Name labels the variant in reports ("default", "fullpagediff", ...).
+	// Name labels the variant in reports ("default", "racedetect", ...).
 	Name string
 	// Procs pins GOMAXPROCS for the replica's run (0 keeps the ambient
 	// value, so external matrix sweeps stay in control).
@@ -175,22 +175,17 @@ func runOneReplica(cfg workloads.Config, seed uint64, requests int, v ReplicaVar
 }
 
 // DefaultVariants returns k replica variants cycling through the
-// optimization stacks the equivalence walls pin — the full default stack,
-// the seed's full-page diffing, run-by-run (uncoalesced) propagation, and
-// the single-domain commit monitor — all with phase tracing on so the
-// replica table can report per-request phase costs. Procs stays 0: ambient
-// GOMAXPROCS, so CI matrix sweeps control host parallelism externally.
+// configurations the equivalence walls pin as observational — the full
+// default stack, the happens-before race detector, and the single-domain
+// commit monitor — all with phase tracing on so the replica table can report
+// per-request phase costs. Procs stays 0: ambient GOMAXPROCS, so CI matrix
+// sweeps control host parallelism externally.
 func DefaultVariants(k int) []ReplicaVariant {
 	base := []ReplicaVariant{
 		{Name: "default", Opts: core.DefaultOptions()},
-		{Name: "fullpagediff", Opts: func() core.Options {
+		{Name: "racedetect", Opts: func() core.Options {
 			o := core.DefaultOptions()
-			o.FullPageDiff = true
-			return o
-		}()},
-		{Name: "nocoalesce", Opts: func() core.Options {
-			o := core.DefaultOptions()
-			o.NoCoalesce = true
+			o.RaceDetect = true
 			return o
 		}()},
 		{Name: "shards1", Opts: func() core.Options {
@@ -210,17 +205,15 @@ func DefaultVariants(k int) []ReplicaVariant {
 }
 
 // MatrixVariants returns the full acceptance matrix: GOMAXPROCS {1,4,8} ×
-// commit-monitor shards {1,4} × {default, FullPageDiff, NoCoalesce} — 18
-// replicas of the same request log, every one of which must be
-// byte-identical to the rest.
+// commit-monitor shards {1,4} × {default, RaceDetect} — 12 replicas of the
+// same request log, every one of which must be byte-identical to the rest.
 func MatrixVariants() []ReplicaVariant {
 	stacks := []struct {
 		name  string
 		tweak func(*core.Options)
 	}{
 		{"default", func(*core.Options) {}},
-		{"fullpagediff", func(o *core.Options) { o.FullPageDiff = true }},
-		{"nocoalesce", func(o *core.Options) { o.NoCoalesce = true }},
+		{"racedetect", func(o *core.Options) { o.RaceDetect = true }},
 	}
 	var variants []ReplicaVariant
 	for _, procs := range []int{1, 4, 8} {

@@ -181,9 +181,6 @@ func (s *Space) SetDirtyTracking(on bool) {
 	}
 }
 
-// DirtyTracking reports whether sub-page dirty tracking is enabled.
-func (s *Space) DirtyTracking() bool { return s.trackDirty }
-
 // ResetDirty discards all recorded dirty extents (slice end).
 func (s *Space) ResetDirty() {
 	for id := range s.dirty {

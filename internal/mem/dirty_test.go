@@ -135,7 +135,7 @@ func TestSpaceDirtyTrackingLifecycle(t *testing.T) {
 	s := NewSpace()
 	s.Store8(100, 1) // before tracking: not recorded
 	s.SetDirtyTracking(true)
-	if !s.DirtyTracking() {
+	if !s.trackDirty {
 		t.Fatal("tracking not enabled")
 	}
 	if n := s.DirtyPageCount(); n != 0 {
@@ -161,7 +161,7 @@ func TestSpaceDirtyTrackingLifecycle(t *testing.T) {
 	if s.DirtyPageCount() != 0 || len(s.DirtyPages()) != 0 {
 		t.Fatal("ResetDirty left state behind")
 	}
-	if !s.DirtyTracking() {
+	if !s.trackDirty {
 		t.Fatal("ResetDirty disabled tracking")
 	}
 	s.Store8(5, 1)
@@ -170,7 +170,7 @@ func TestSpaceDirtyTrackingLifecycle(t *testing.T) {
 	}
 	// Disabling discards state and stops recording.
 	s.SetDirtyTracking(false)
-	if s.DirtyTracking() || s.DirtyPageCount() != 0 {
+	if s.trackDirty || s.DirtyPageCount() != 0 {
 		t.Fatal("SetDirtyTracking(false) did not clear")
 	}
 	s.Store8(5, 1)
@@ -199,7 +199,7 @@ func TestCloneDoesNotInheritDirtyTracking(t *testing.T) {
 	s.SetDirtyTracking(true)
 	s.Store8(10, 1)
 	c := s.Clone()
-	if c.DirtyTracking() || c.DirtyPageCount() != 0 {
+	if c.trackDirty || c.DirtyPageCount() != 0 {
 		t.Fatal("Clone inherited dirty-tracking state")
 	}
 	// The parent's state is unaffected by the clone.

@@ -207,6 +207,91 @@ func TestPagePatchLastWriterWins(t *testing.T) {
 	}
 }
 
+// rawPend is the seed's lazy-writes pending state for one page, kept as the
+// reference PagePatch is checked against: the pended runs are replayed in
+// order with ApplyRuns at flush, and the distinct-byte count the cost model
+// charges is recounted over a per-byte touched map.
+type rawPend struct{ runs []Run }
+
+func (p *rawPend) add(r Run) { p.runs = append(p.runs, r) }
+
+// flush applies the pended runs to s and returns the distinct bytes written.
+func (p *rawPend) flush(s *Space) (distinct uint64) {
+	var touched [PageSize]bool
+	for _, r := range p.runs {
+		off := r.Addr & PageMask
+		for i := range r.Data {
+			if !touched[off+uint64(i)] {
+				touched[off+uint64(i)] = true
+				distinct++
+			}
+		}
+	}
+	s.ApplyRuns(p.runs)
+	return distinct
+}
+
+// randomPageRuns builds an ordered run list inside one page, with overlap
+// heavy enough that last-writer-wins decides most bytes.
+func randomPageRuns(r *rand.Rand, id PageID) []Run {
+	runs := make([]Run, 1+r.Intn(24))
+	for i := range runs {
+		off := r.Intn(PageSize)
+		n := 1 + r.Intn(PageSize-off)
+		if r.Intn(4) != 0 && n > 64 {
+			n = 1 + r.Intn(64) // mostly short runs, as slice-end diffs emit
+		}
+		data := make([]byte, n)
+		r.Read(data)
+		runs[i] = Run{Addr: PageAddr(id) + uint64(off), Data: data}
+	}
+	return runs
+}
+
+// TestPagePatchMatchesRawPend checks the lazy-writes pending patch against
+// the seed's raw run list: for any ordered run list on one page, flushing
+// the patch leaves the same page image, and its UniqueBytes/RawRuns/RawBytes
+// equal the raw path's distinct-byte count, run count and byte count — the
+// three numbers the flush charges to virtual time and Stats.
+func TestPagePatchMatchesRawPend(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		id := PageID(1 + r.Intn(8))
+		runs := randomPageRuns(r, id)
+
+		raw := &rawPend{}
+		p := NewPagePatch(id)
+		defer p.Release()
+		for _, run := range runs {
+			raw.add(run)
+			p.AddRun(run)
+		}
+		want, got := NewSpace(), NewSpace()
+		defer want.Release()
+		defer got.Release()
+		distinct := raw.flush(want)
+		got.ApplyPatch(p)
+
+		if string(want.PageData(id)) != string(got.PageData(id)) {
+			t.Errorf("seed %d: patch image differs from sequential application", seed)
+			return false
+		}
+		if p.UniqueBytes() != distinct {
+			t.Errorf("seed %d: UniqueBytes %d, raw distinct %d", seed, p.UniqueBytes(), distinct)
+			return false
+		}
+		if p.RawRuns() != uint64(len(raw.runs)) || p.RawBytes() != RunBytes(raw.runs) {
+			t.Errorf("seed %d: raw accounting %d runs / %d bytes, want %d / %d",
+				seed, p.RawRuns(), p.RawBytes(), len(raw.runs), RunBytes(raw.runs))
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestSnapshotPooling asserts the snapshot buffers actually recycle: a
 // snapshot/release round trip through the pool must not allocate a fresh
 // page buffer each time.

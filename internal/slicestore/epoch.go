@@ -1,5 +1,5 @@
-// EpochStore: the log-structured, epoch-based implementation of the metadata
-// space (ROADMAP item 2; the snapshot-pinned MVCC + arena idiom).
+// EpochStore: the log-structured, epoch-based metadata space (the
+// snapshot-pinned MVCC + arena idiom).
 //
 // Commits append immutable slices into per-stripe segments; each segment
 // owns an arena (internal/alloc) into which the slices' run payloads are
@@ -8,11 +8,11 @@
 // fast path drops whole segments whose max timestamp is ≤ the vclock
 // frontier, crediting their slices back to the budget atomically with
 // unpublishing them; segments straddling the frontier have their covered
-// members trimmed out so budget reclamation tracks the map store's sweep
-// exactly even when the frontier lags one young slice.
+// members trimmed out so budget reclamation reclaims exactly the covered
+// slices even when the frontier lags one young slice.
 //
-// Reclaiming payload memory introduces the one hazard the map store never
-// had: a reader that collected slice pointers under its turn and applies
+// Reclaiming payload memory introduces a hazard that a store leaving
+// reclaimed payloads to the Go garbage collector does not have: a reader that collected slice pointers under its turn and applies
 // them after releasing the monitor could dereference payload bytes whose
 // segment was dropped in between (the acquirer's clock has already joined
 // the slices' times, so the GC frontier can cover them while the apply is
@@ -66,13 +66,23 @@ type epochStripe struct {
 	_      [32]byte // keep neighboring stripes' mutexes off one cache line
 }
 
-// EpochStore implements Store as a log of arena-backed epoch segments.
+// EpochStore is the metadata space seen by the runtime, a log of
+// arena-backed epoch segments: slice registration with a GC-trigger verdict,
+// snapshot accounting, frontier-driven collection, and the pin protocol
+// that keeps reclaimed payload memory alive while a reader still holds
+// collected slices.
 //
-// The budget discipline is identical to MapStore's and for the same reason:
-// usage is one exact atomic (used) adjusted by charge, with GC-trigger
-// decisions made from the charge's own post-add value, plus a striped
-// attribution that sums to it. Segments change only *what* is reclaimed
-// (whole segments instead of single slices), never how usage is counted.
+// All usage accounting (used, highWater) and the scalar counters are plain
+// atomics, so snapshot bookkeeping — AllocSnapshot on the store path of a
+// running slice, FreeSnapshot on the off-monitor diff path — never contends
+// with commits or collections. Usage is kept twice: one exact atomic (used)
+// that is the capacity budget, and a striped per-domain attribution
+// (perStripe) whose cells sum to used. The budget deliberately stays a
+// single atomic: GC-trigger decisions must see the exact linearized usage
+// at each charge, and a stripe-summed approximation would reintroduce the
+// missed/double-trigger races that Commit's charge-returned value exists to
+// rule out. Segments change only *what* is reclaimed (whole segments
+// instead of single slices), never how usage is counted.
 type EpochStore struct {
 	capacity    uint64
 	gcThreshold uint64
@@ -141,14 +151,22 @@ func (es *EpochStore) Capacity() uint64 { return es.capacity }
 // garbage-collection pass.
 func (es *EpochStore) GCThreshold() uint64 { return es.gcThreshold }
 
-// AllocSnapshot implements Store.
+// AllocSnapshot charges one page snapshot to the metadata space (taken on
+// the first write to a page within a slice, Figure 4). The stripe hint
+// attributes the charge to the calling thread's accounting cell.
 func (es *EpochStore) AllocSnapshot(stripe int) { es.charge(stripe, mem.PageSize) }
 
-// FreeSnapshot implements Store.
+// FreeSnapshot releases one page snapshot's accounting: the paper frees
+// snapshot memory immediately after the byte-granularity modification list
+// is built by page diffing (§5.4).
 func (es *EpochStore) FreeSnapshot(stripe int) { es.charge(stripe, -mem.PageSize) }
 
-// charge mirrors MapStore.charge: exact budget atomic, striped attribution,
-// post-add value returned for trigger decisions.
+// charge adjusts usage by delta, attributes it to the given stripe, and
+// returns the post-add budget value — the exact usage at the instant this
+// charge linearized on the used atomic. Callers deciding anything from the
+// charge (Commit's GC trigger) must use the returned value, never a
+// re-load: between Add and a later Load, a FreeSnapshot on the off-monitor
+// diff path can dip usage back under a threshold the Add crossed.
 func (es *EpochStore) charge(stripe int, delta int64) int64 {
 	es.perStripe.Add(stripe%len(es.stripes), delta)
 	used := es.used.Add(delta)
@@ -168,7 +186,11 @@ func (es *EpochStore) stripeOf(tid int32) *epochStripe {
 // Commit appends the slice to its stripe's open segment, interning the run
 // payloads into the segment arena — s.Mods is repointed in place, so after
 // Commit the caller's payload buffers are no longer referenced by the store
-// and may be reused. As in MapStore, the charge lands before the slice is
+// and may be reused. It reports whether usage crossed the GC threshold, in
+// which case the caller should garbage-collect; the decision is made from
+// the commit's own post-charge usage, so a threshold crossing is reported
+// by exactly the charge that crossed it regardless of how concurrent
+// snapshot frees interleave. The charge lands before the slice is
 // published, so a racing Collect can never credit a cost that was not yet
 // charged.
 func (es *EpochStore) Commit(s *Slice) (needGC bool) {
@@ -200,20 +222,23 @@ func (es *EpochStore) Commit(s *Slice) (needGC bool) {
 	return needGC
 }
 
-// Collect advances the reclamation frontier. The fast path is the whole-
-// segment drop: a sealed segment whose max timestamp is ≤ frontier is
-// unpublished in one step, its slices credited back to the budget under the
-// stripe mutex, its arena sent to limbo for recycling once no pin predates
-// this pass. An open segment that is already fully covered is sealed first
-// so it drops in the same pass.
+// Collect reclaims slices whose timestamps are ≤ frontier (§4.5): such
+// slices have been merged into the local memory of every thread and can
+// never again pass a propagation filter. It returns the number reclaimed.
+// The fast path is the whole-segment drop: a sealed segment whose max
+// timestamp is ≤ frontier is unpublished in one step, its slices credited
+// back to the budget under the stripe mutex, its arena sent to limbo for
+// recycling once no pin predates this pass. An open segment that is already
+// fully covered is sealed first so it drops in the same pass.
 //
 // Segments that straddle the frontier — some members covered, the join not —
-// are trimmed instead: covered slices are credited and removed exactly as
-// the map store's sweep would, so the budget reclaims byte-for-byte what
-// MapStore reclaims under the same frontier, and a lagging frontier can
-// never strand an arbitrarily large covered prefix behind one young slice.
-// Only the trimmed slices' arena bytes stay resident, bounded per stripe by
-// the segment seal limits, until the whole segment's join is covered.
+// are trimmed instead: covered slices are credited and removed one by one,
+// so the budget reclaims byte-for-byte every covered slice's cost (what a
+// full sweep would reclaim under the same frontier), and a lagging frontier
+// can never strand an arbitrarily large covered prefix behind one young
+// slice. Only the trimmed slices' arena bytes stay resident, bounded per
+// stripe by the segment seal limits, until the whole segment's join is
+// covered.
 func (es *EpochStore) Collect(frontier vclock.VC) int {
 	n := 0
 	var dropped []*segment
@@ -331,8 +356,10 @@ func (es *EpochStore) drainLimboLocked() {
 	es.limbo = keep
 }
 
-// Pin implements Store: it records the current reclamation epoch as in use.
-// The runtime takes pins while still holding the turn in which it collected
+// Pin marks the current reclamation epoch as in use. Until the returned pin
+// is released, payload memory of slices collected after the pin was taken
+// is quarantined rather than recycled, so the pinning reader can keep
+// dereferencing the slices it already holds. The runtime takes pins while still holding the turn in which it collected
 // slice pointers — no Collect can run during a held turn, so the pin is
 // ordered before any pass that could drop those slices' segments.
 func (es *EpochStore) Pin() Pin {
@@ -391,16 +418,22 @@ func (es *EpochStore) SetPoison(on bool) { es.pool.SetPoison(on) }
 // Stripes returns the number of usage-attribution stripes.
 func (es *EpochStore) Stripes() int { return es.perStripe.Len() }
 
-// StripeUsed returns the usage attributed to one stripe.
+// StripeUsed returns the usage attributed to one stripe. Stripes are
+// attribution for observability, not budgets; only their sum (== Used when
+// quiescent) is the capacity budget.
 func (es *EpochStore) StripeUsed(stripe int) int64 { return es.perStripe.Load(stripe) }
 
 // Used returns the current metadata-space usage in bytes.
 func (es *EpochStore) Used() uint64 { return uint64(es.used.Load()) }
 
-// HighWater returns the metadata-space usage high-water mark.
+// HighWater returns the metadata-space usage high-water mark (the
+// MetadataSpaceMemory term in §5.4's footprint equation).
 func (es *EpochStore) HighWater() uint64 { return uint64(es.highWater.Load()) }
 
-// GCCount returns the number of Collect passes that reclaimed slices.
+// GCCount returns the number of Collect passes that reclaimed at least one
+// slice (Table 1, "GC"). Passes that found nothing below the frontier are
+// counted by EmptyGCCount instead, so snapshot-churn threshold crossings do
+// not inflate the Table 1 column.
 func (es *EpochStore) GCCount() uint64 { return es.gcCount.Load() }
 
 // EmptyGCCount returns the number of Collect passes that reclaimed nothing.
@@ -412,7 +445,7 @@ func (es *EpochStore) Live() int { return int(es.live.Load()) }
 // TotalCreated returns the number of slices ever committed.
 func (es *EpochStore) TotalCreated() uint64 { return es.totalCreated.Load() }
 
-// Metrics implements Store.
+// Metrics returns the segment and arena counters.
 func (es *EpochStore) Metrics() Metrics {
 	return Metrics{
 		SegmentsLive:         uint64(es.segsLive.Load()),

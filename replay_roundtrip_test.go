@@ -65,10 +65,9 @@ func TestReplayRoundTripReproducesVirtualTime(t *testing.T) {
 }
 
 func TestTracedRunsIdenticalWithExtentDiffing(t *testing.T) {
-	traceHash := func(fullPage bool) (uint64, *rfdet.Report) {
+	traceHash := func() (uint64, *rfdet.Report) {
 		opts := core.DefaultOptions()
 		opts.Trace = true
-		opts.FullPageDiff = fullPage
 		rep, tr, err := core.New(opts).RunTraced(roundTripProgram)
 		if err != nil {
 			t.Fatal(err)
@@ -77,19 +76,13 @@ func TestTracedRunsIdenticalWithExtentDiffing(t *testing.T) {
 		h.Write([]byte(tr.String()))
 		return h.Sum64(), rep
 	}
-	firstHash, firstRep := traceHash(false)
+	firstHash, firstRep := traceHash()
 	for i := 1; i < 3; i++ {
-		h, rep := traceHash(false)
+		h, rep := traceHash()
 		if h != firstHash || rep.VirtualTime != firstRep.VirtualTime || rep.OutputHash != firstRep.OutputHash {
 			t.Fatalf("run %d: trace=%#x vt=%d out=%#x, first trace=%#x vt=%d out=%#x",
 				i, h, rep.VirtualTime, rep.OutputHash, firstHash, firstRep.VirtualTime, firstRep.OutputHash)
 		}
-	}
-	// Full-page diffing must be observably indistinguishable.
-	h, rep := traceHash(true)
-	if h != firstHash || rep.VirtualTime != firstRep.VirtualTime || rep.OutputHash != firstRep.OutputHash {
-		t.Fatalf("FullPageDiff: trace=%#x vt=%d out=%#x, extent-guided trace=%#x vt=%d out=%#x",
-			h, rep.VirtualTime, rep.OutputHash, firstHash, firstRep.VirtualTime, firstRep.OutputHash)
 	}
 	// Sanity: the default run actually exercised the fast path.
 	if firstRep.Stats.DiffBytesSkipped == 0 {

@@ -49,9 +49,10 @@
 // off-monitor diffing and application, sub-page dirty extents, coalesced
 // last-writer-wins write plans shared across blocked waiters, the
 // epoch-segment metadata store with arena-interned payloads — change only
-// wall-clock time; each has an Options escape hatch (FullPageDiff,
-// NoCoalesce, EpochStore=false, ...) that forces the seed path, and
-// equivalence is pinned by the fuzz and seed-regression walls.
+// wall-clock time. Each is the runtime's only path, with no option to turn
+// it off: the seed's naive versions live on as reference oracles in the
+// package tests, and the seed-regression goldens pin every output, virtual
+// time and trace digest to the seed's.
 package rfdet
 
 import (

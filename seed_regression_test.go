@@ -62,13 +62,12 @@ var regressionProcs = []int{1, 2, 4, 8}
 var seedConfig = workloads.Config{Threads: 4, Size: workloads.SizeTest}
 
 // seedTestOptions returns the configuration the goldens were captured with,
-// honoring the RFDET_SHARDS, RFDET_METACAP and RFDET_EPOCHSTORE environment
-// variables so CI can sweep the determinism matrix across commit-monitor
-// domain counts, metadata-space capacities (a small RFDET_METACAP, in bytes,
-// makes slice GC fire throughout every run) and metadata-store
-// implementations without a test-code change. The goldens are independent of
-// all three axes by construction — that independence is exactly what the
-// sweep asserts.
+// honoring the RFDET_SHARDS and RFDET_METACAP environment variables so CI can
+// sweep the determinism matrix across commit-monitor domain counts and
+// metadata-space capacities (a small RFDET_METACAP, in bytes, makes slice GC
+// fire during the runs) without a test-code change. The goldens are
+// independent of both axes by construction — that independence is exactly
+// what the sweep asserts.
 func seedTestOptions() core.Options {
 	opts := core.DefaultOptions()
 	if s := os.Getenv("RFDET_SHARDS"); s != "" {
@@ -80,9 +79,6 @@ func seedTestOptions() core.Options {
 		if n, err := strconv.ParseUint(s, 10, 64); err == nil && n > 0 {
 			opts.MetadataCapacity = n
 		}
-	}
-	if s := os.Getenv("RFDET_EPOCHSTORE"); s == "0" || s == "off" {
-		opts.EpochStore = false
 	}
 	return opts
 }
@@ -117,7 +113,7 @@ func TestSeedRegressionLitmus(t *testing.T) {
 // TestSeedRegressionTraces runs wordcount and fft traced, and racey
 // untraced, 5 times at each GOMAXPROCS in {1,2,4,8} — 20 runs per workload
 // — and demands the seed's exact output hashes, virtual times and trace
-// digests with dirty tracking live.
+// digests with dirty tracking live. No run may leave a goroutine behind.
 func TestSeedRegressionTraces(t *testing.T) {
 	repeats := 5
 	if testing.Short() {
@@ -133,49 +129,51 @@ func TestSeedRegressionTraces(t *testing.T) {
 	opts := seedTestOptions()
 	opts.Trace = true
 	rt := core.New(opts)
-	for _, p := range regressionProcs {
-		old := runtime.GOMAXPROCS(p)
-		for rep := 0; rep < repeats; rep++ {
-			for _, g := range goldens {
-				w, err := workloads.ByName(g.workload)
+	noGoroutineLeak(t, func() {
+		for _, p := range regressionProcs {
+			old := runtime.GOMAXPROCS(p)
+			for rep := 0; rep < repeats; rep++ {
+				for _, g := range goldens {
+					w, err := workloads.ByName(g.workload)
+					if err != nil {
+						runtime.GOMAXPROCS(old)
+						t.Fatal(err)
+					}
+					r, tr, err := rt.RunTraced(w.Prog(seedConfig))
+					if err != nil {
+						runtime.GOMAXPROCS(old)
+						t.Fatalf("P=%d run %d %s: %v", p, rep, g.workload, err)
+					}
+					if r.OutputHash != g.output || r.VirtualTime != g.vtime {
+						runtime.GOMAXPROCS(old)
+						t.Fatalf("P=%d run %d %s: output=%#x vtime=%d, seed output=%#x vtime=%d",
+							p, rep, g.workload, r.OutputHash, r.VirtualTime, g.output, g.vtime)
+					}
+					if th := fnvString(tr.String()); th != g.trace {
+						runtime.GOMAXPROCS(old)
+						t.Fatalf("P=%d run %d %s: trace hash %#x, seed %#x — event-level behavior changed",
+							p, rep, g.workload, th, g.trace)
+					}
+				}
+				w, err := workloads.ByName("racey")
 				if err != nil {
 					runtime.GOMAXPROCS(old)
 					t.Fatal(err)
 				}
-				r, tr, err := rt.RunTraced(w.Prog(seedConfig))
+				r, err := rfdet.New(seedTestOptions()).Run(w.Prog(seedConfig))
 				if err != nil {
 					runtime.GOMAXPROCS(old)
-					t.Fatalf("P=%d run %d %s: %v", p, rep, g.workload, err)
+					t.Fatalf("P=%d run %d racey: %v", p, rep, err)
 				}
-				if r.OutputHash != g.output || r.VirtualTime != g.vtime {
+				if r.OutputHash != goldenRaceyOutput || r.VirtualTime != goldenRaceyVTime {
 					runtime.GOMAXPROCS(old)
-					t.Fatalf("P=%d run %d %s: output=%#x vtime=%d, seed output=%#x vtime=%d",
-						p, rep, g.workload, r.OutputHash, r.VirtualTime, g.output, g.vtime)
-				}
-				if th := fnvString(tr.String()); th != g.trace {
-					runtime.GOMAXPROCS(old)
-					t.Fatalf("P=%d run %d %s: trace hash %#x, seed %#x — event-level behavior changed",
-						p, rep, g.workload, th, g.trace)
+					t.Fatalf("P=%d run %d racey: output=%#x vtime=%d, seed output=%#x vtime=%d",
+						p, rep, r.OutputHash, r.VirtualTime, goldenRaceyOutput, goldenRaceyVTime)
 				}
 			}
-			w, err := workloads.ByName("racey")
-			if err != nil {
-				runtime.GOMAXPROCS(old)
-				t.Fatal(err)
-			}
-			r, err := rfdet.New(seedTestOptions()).Run(w.Prog(seedConfig))
-			if err != nil {
-				runtime.GOMAXPROCS(old)
-				t.Fatalf("P=%d run %d racey: %v", p, rep, err)
-			}
-			if r.OutputHash != goldenRaceyOutput || r.VirtualTime != goldenRaceyVTime {
-				runtime.GOMAXPROCS(old)
-				t.Fatalf("P=%d run %d racey: output=%#x vtime=%d, seed output=%#x vtime=%d",
-					p, rep, r.OutputHash, r.VirtualTime, goldenRaceyOutput, goldenRaceyVTime)
-			}
+			runtime.GOMAXPROCS(old)
 		}
-		runtime.GOMAXPROCS(old)
-	}
+	})
 }
 
 // TestSeedRegressionServer freezes the KV-server workload like the kernel
@@ -222,8 +220,8 @@ func TestSeedRegressionServer(t *testing.T) {
 }
 
 // TestSeedRegressionServerReplicas is the CI replica-divergence matrix body:
-// k=3 replicas of the golden request log across the default, full-page-diff
-// and uncoalesced stacks — at the ambient GOMAXPROCS and the RFDET_SHARDS
+// k=2 replicas of the golden request log across the default and
+// race-detecting stacks — at the ambient GOMAXPROCS and the RFDET_SHARDS
 // domain count the CI matrix sweeps — must agree with each other AND with
 // the pinned golden fingerprints.
 func TestSeedRegressionServerReplicas(t *testing.T) {
@@ -234,8 +232,7 @@ func TestSeedRegressionServerReplicas(t *testing.T) {
 	}
 	variants := []harness.ReplicaVariant{
 		mk("default", func(*core.Options) {}),
-		mk("fullpagediff", func(o *core.Options) { o.FullPageDiff = true }),
-		mk("nocoalesce", func(o *core.Options) { o.NoCoalesce = true }),
+		mk("racedetect", func(o *core.Options) { o.RaceDetect = true }),
 	}
 	rep := harness.RunServerReplicas(seedConfig, workloads.DefaultServerSeed, variants)
 	if rep.Divergent() {
@@ -336,68 +333,6 @@ func TestSeedRegressionTraceStabilityUnderLoad(t *testing.T) {
 	}
 }
 
-// TestSeedRegressionFullPageDiffMatches closes the loop: the explicit
-// FullPageDiff escape hatch (which reproduces the seed's diffing verbatim)
-// must hit the same goldens — proving the goldens test the seed behavior,
-// not whatever the current default happens to be.
-func TestSeedRegressionFullPageDiffMatches(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Trace = true
-	opts.FullPageDiff = true
-	rt := core.New(opts)
-	w, err := workloads.ByName("wordcount")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, tr, err := rt.RunTraced(w.Prog(seedConfig))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.OutputHash != goldenWordcountOutput || r.VirtualTime != goldenWordcountVTime {
-		t.Fatalf("FullPageDiff: output=%#x vtime=%d, seed output=%#x vtime=%d",
-			r.OutputHash, r.VirtualTime, goldenWordcountOutput, goldenWordcountVTime)
-	}
-	if th := fnvString(tr.String()); th != goldenWordcountTrace {
-		t.Fatalf("FullPageDiff: trace hash %#x, seed %#x", th, goldenWordcountTrace)
-	}
-	// And under full-page diffing no bytes are ever skipped.
-	if r.Stats.DiffBytesSkipped != 0 {
-		t.Fatalf("FullPageDiff skipped %d bytes", r.Stats.DiffBytesSkipped)
-	}
-}
-
-// TestSeedRegressionNoCoalesceMatches is the same loop-closer for coalesced
-// write-plan propagation: NoCoalesce reproduces the seed's one-run-at-a-time
-// application verbatim, and it must hit the exact same goldens as the
-// coalescing default — demonstrating that plan application is observationally
-// equivalent, not merely deterministic on its own.
-func TestSeedRegressionNoCoalesceMatches(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Trace = true
-	opts.NoCoalesce = true
-	rt := core.New(opts)
-	w, err := workloads.ByName("wordcount")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, tr, err := rt.RunTraced(w.Prog(seedConfig))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.OutputHash != goldenWordcountOutput || r.VirtualTime != goldenWordcountVTime {
-		t.Fatalf("NoCoalesce: output=%#x vtime=%d, seed output=%#x vtime=%d",
-			r.OutputHash, r.VirtualTime, goldenWordcountOutput, goldenWordcountVTime)
-	}
-	if th := fnvString(tr.String()); th != goldenWordcountTrace {
-		t.Fatalf("NoCoalesce: trace hash %#x, seed %#x", th, goldenWordcountTrace)
-	}
-	// With coalescing off no plan is ever built or shared.
-	if r.Stats.BytesCoalescedAway != 0 || r.Stats.PlanReuse != 0 {
-		t.Fatalf("NoCoalesce still coalesced: %d bytes away, %d plan reuses",
-			r.Stats.BytesCoalescedAway, r.Stats.PlanReuse)
-	}
-}
-
 // TestSeedRegressionPhaseTraceMatches is the loop-closer for phase-level
 // observability: running the exact seed workload with phase tracing ON must
 // hit the exact same goldens — output, virtual time and deterministic trace
@@ -488,55 +423,6 @@ func TestSeedRegressionShardCounts(t *testing.T) {
 				if want := uint64(shards); r.Stats.MonitorShards != want {
 					runtime.GOMAXPROCS(old)
 					t.Fatalf("shards=%d: Stats.MonitorShards = %d", shards, r.Stats.MonitorShards)
-				}
-			}
-			runtime.GOMAXPROCS(old)
-		}
-	}
-}
-
-// TestSeedRegressionEpochStoreMatches closes the loop on the metadata-store
-// axis: the epoch store (the DefaultOptions seed path, which every golden
-// above already exercises) and the original map store must both reproduce
-// the seed goldens bit-for-bit — output, virtual time AND event trace — at
-// every GOMAXPROCS. The metadata space is pure bookkeeping: which store
-// reclaims a collected slice's bytes must never leak into a deterministic
-// observable.
-func TestSeedRegressionEpochStoreMatches(t *testing.T) {
-	goldens := []struct {
-		workload             string
-		output, vtime, trace uint64
-	}{
-		{"wordcount", goldenWordcountOutput, goldenWordcountVTime, goldenWordcountTrace},
-		{"fft", goldenFFTOutput, goldenFFTVTime, goldenFFTTrace},
-	}
-	for _, epoch := range []bool{false, true} {
-		opts := core.DefaultOptions()
-		opts.EpochStore = epoch
-		opts.Trace = true
-		rt := core.New(opts)
-		for _, p := range []int{1, 4, 8} {
-			old := runtime.GOMAXPROCS(p)
-			for _, g := range goldens {
-				w, err := workloads.ByName(g.workload)
-				if err != nil {
-					runtime.GOMAXPROCS(old)
-					t.Fatal(err)
-				}
-				r, tr, err := rt.RunTraced(w.Prog(seedConfig))
-				if err != nil {
-					runtime.GOMAXPROCS(old)
-					t.Fatalf("epoch=%v P=%d %s: %v", epoch, p, g.workload, err)
-				}
-				if r.OutputHash != g.output || r.VirtualTime != g.vtime {
-					runtime.GOMAXPROCS(old)
-					t.Fatalf("epoch=%v P=%d %s: output=%#x vtime=%d, seed output=%#x vtime=%d",
-						epoch, p, g.workload, r.OutputHash, r.VirtualTime, g.output, g.vtime)
-				}
-				if th := fnvString(tr.String()); th != g.trace {
-					runtime.GOMAXPROCS(old)
-					t.Fatalf("epoch=%v P=%d %s: trace hash %#x, seed %#x — the store changed event-level behavior",
-						epoch, p, g.workload, th, g.trace)
 				}
 			}
 			runtime.GOMAXPROCS(old)
