@@ -113,116 +113,102 @@ func TestDoubleFreeUnblocksPeers(t *testing.T) {
 // abort, nothing hangs — and the replica checker must report it as
 // divergent-by-abort while the clean replicas still agree byte-for-byte.
 // This extends the kernel-level abort tests above to a full workload where
-// the abort lands inside a lock/queue/barrier web, under both the seed's
-// single commit-monitor domain and the sharded default.
+// the abort lands inside a lock/queue/barrier web.
 func TestServerReplicaAbortUnwinds(t *testing.T) {
 	cfg := workloads.Config{Threads: 4, Size: workloads.SizeTest}
-	for _, shards := range []int{1, 4} {
-		opts := core.DefaultOptions()
-		opts.ShardCount = shards
-		variants := []harness.ReplicaVariant{
-			{Name: "clean-a", Opts: opts},
-			{Name: "poisoned", Opts: opts, InjectAbort: true},
-			{Name: "clean-b", Opts: opts},
+	opts := core.DefaultOptions()
+	variants := []harness.ReplicaVariant{
+		{Name: "clean-a", Opts: opts},
+		{Name: "poisoned", Opts: opts, InjectAbort: true},
+		{Name: "clean-b", Opts: opts},
+	}
+	var rep *harness.ReplicaReport
+	noGoroutineLeak(t, func() {
+		rep = harness.RunServerReplicas(cfg, workloads.DefaultServerSeed, variants)
+	})
+	if len(rep.Divergences) != 1 {
+		t.Fatalf("divergences %v — want exactly the injected abort, with clean replicas agreeing", rep.Divergences)
+	}
+	if !strings.Contains(rep.Divergences[0], "divergent-by-abort") {
+		t.Fatalf("divergence %q not classified as abort", rep.Divergences[0])
+	}
+	poisoned := rep.Runs[1]
+	if poisoned.Err == nil || !strings.Contains(poisoned.Err.Error(), "barrier with count") {
+		t.Fatalf("poisoned replica error = %v, want the zero-count barrier abort", poisoned.Err)
+	}
+	for _, i := range []int{0, 2} {
+		run := rep.Runs[i]
+		if run.Err != nil {
+			t.Fatalf("clean replica %d errored: %v", i, run.Err)
 		}
-		var rep *harness.ReplicaReport
-		noGoroutineLeak(t, func() {
-			rep = harness.RunServerReplicas(cfg, workloads.DefaultServerSeed, variants)
-		})
-		if len(rep.Divergences) != 1 {
-			t.Fatalf("shards=%d: divergences %v — want exactly the injected abort, with clean replicas agreeing",
-				shards, rep.Divergences)
-		}
-		if !strings.Contains(rep.Divergences[0], "divergent-by-abort") {
-			t.Fatalf("shards=%d: divergence %q not classified as abort", shards, rep.Divergences[0])
-		}
-		poisoned := rep.Runs[1]
-		if poisoned.Err == nil || !strings.Contains(poisoned.Err.Error(), "barrier with count") {
-			t.Fatalf("shards=%d: poisoned replica error = %v, want the zero-count barrier abort",
-				shards, poisoned.Err)
-		}
-		for _, i := range []int{0, 2} {
-			run := rep.Runs[i]
-			if run.Err != nil {
-				t.Fatalf("shards=%d: clean replica %d errored: %v", shards, i, run.Err)
-			}
-			if run.Summary.StateHash != rep.Runs[0].Summary.StateHash ||
-				run.Summary.ResponseHash != rep.Runs[0].Summary.ResponseHash {
-				t.Fatalf("shards=%d: clean replicas disagree after the abort", shards)
-			}
+		if run.Summary.StateHash != rep.Runs[0].Summary.StateHash ||
+			run.Summary.ResponseHash != rep.Runs[0].Summary.ResponseHash {
+			t.Fatal("clean replicas disagree after the abort")
 		}
 	}
 }
 
 // TestZeroCountBarrierAborts pins the pre-turn abort path: Barrier with a
 // non-positive count fails before taking the deterministic turn or entering
-// any monitor domain, so the abort reaches the runtime from outside every
-// in-turn code path. The run must fail recoverably — and must unwind peers
-// blocked on locks, condvars and joins at the moment the abort lands — under
-// both the seed's single commit-monitor domain and the sharded default.
+// the monitor, so the abort reaches the runtime from outside every in-turn
+// code path. The run must fail recoverably — and must unwind peers blocked
+// on locks, condvars and joins at the moment the abort lands.
 func TestZeroCountBarrierAborts(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		opts := rfdet.DefaultOptions()
-		opts.ShardCount = shards
-		var err error
-		noGoroutineLeak(t, func() {
-			_, err = rfdet.New(opts).Run(func(th rfdet.Thread) {
-				mu, cond, bar := rfdet.Addr(64), rfdet.Addr(128), rfdet.Addr(192)
-				flag := th.Malloc(8)
-				holder := th.Spawn(func(c rfdet.Thread) {
-					c.Lock(mu)
-					for c.Load64(flag) == 0 {
-						c.Wait(cond, mu) // never signaled: main aborts first
-					}
-					c.Unlock(mu)
-				})
-				th.Spawn(func(c rfdet.Thread) {
-					c.Tick(1000)
-					c.Lock(mu) // queued behind holder forever
-					c.Unlock(mu)
-				})
-				th.Spawn(func(c rfdet.Thread) {
-					c.Join(holder) // blocked on a thread that never exits
-				})
-				th.Tick(100000) // let every peer reach its blocking point
-				th.Barrier(bar, 0)
+	var err error
+	noGoroutineLeak(t, func() {
+		_, err = rfdet.New(rfdet.DefaultOptions()).Run(func(th rfdet.Thread) {
+			mu, cond, bar := rfdet.Addr(64), rfdet.Addr(128), rfdet.Addr(192)
+			flag := th.Malloc(8)
+			holder := th.Spawn(func(c rfdet.Thread) {
+				c.Lock(mu)
+				for c.Load64(flag) == 0 {
+					c.Wait(cond, mu) // never signaled: main aborts first
+				}
+				c.Unlock(mu)
 			})
+			th.Spawn(func(c rfdet.Thread) {
+				c.Tick(1000)
+				c.Lock(mu) // queued behind holder forever
+				c.Unlock(mu)
+			})
+			th.Spawn(func(c rfdet.Thread) {
+				c.Join(holder) // blocked on a thread that never exits
+			})
+			th.Tick(100000) // let every peer reach its blocking point
+			th.Barrier(bar, 0)
 		})
-		if err == nil {
-			t.Fatalf("shards=%d: zero-count barrier must fail the run", shards)
-		}
-		if !strings.Contains(err.Error(), "barrier with count") {
-			t.Fatalf("shards=%d: error %q does not describe the barrier misuse", shards, err)
-		}
+	})
+	if err == nil {
+		t.Fatal("zero-count barrier must fail the run")
+	}
+	if !strings.Contains(err.Error(), "barrier with count") {
+		t.Fatalf("error %q does not describe the barrier misuse", err)
 	}
 }
 
 // TestLockJoinDeadlockAborts is the self-deadlock litmus: main holds a mutex
 // and joins a child that needs it. Every live thread ends up blocked, which
 // the deadlock check must turn into a recoverable error with every thread
-// goroutine unwound, on both monitors and at both domain counts.
+// goroutine unwound, on both monitors.
 func TestLockJoinDeadlockAborts(t *testing.T) {
 	for _, mon := range []core.Monitor{core.MonitorCI, core.MonitorPF} {
-		for _, shards := range []int{1, 4} {
-			opts := core.DefaultOptions()
-			opts.Monitor = mon
-			opts.ShardCount = shards
-			var err error
-			noGoroutineLeak(t, func() {
-				_, err = rfdet.New(opts).Run(func(th rfdet.Thread) {
-					mu := rfdet.Addr(64)
-					th.Lock(mu)
-					child := th.Spawn(func(c rfdet.Thread) {
-						c.Lock(mu) // held by main for good
-						c.Unlock(mu)
-					})
-					th.Join(child)
-					th.Unlock(mu)
+		opts := core.DefaultOptions()
+		opts.Monitor = mon
+		var err error
+		noGoroutineLeak(t, func() {
+			_, err = rfdet.New(opts).Run(func(th rfdet.Thread) {
+				mu := rfdet.Addr(64)
+				th.Lock(mu)
+				child := th.Spawn(func(c rfdet.Thread) {
+					c.Lock(mu) // held by main for good
+					c.Unlock(mu)
 				})
+				th.Join(child)
+				th.Unlock(mu)
 			})
-			if err == nil || !strings.Contains(err.Error(), "deadlock") {
-				t.Fatalf("monitor=%s shards=%d: error = %v, want the deterministic deadlock", mon, shards, err)
-			}
+		})
+		if err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("monitor=%s: error = %v, want the deterministic deadlock", mon, err)
 		}
 	}
 }

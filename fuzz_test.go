@@ -159,7 +159,8 @@ func TestFuzzDeterminism(t *testing.T) {
 // TestFuzzOptionsAgreeRaceFree runs race-free generated programs across the
 // full RFDet option matrix. For race-free programs the C++ memory model
 // fixes the result completely (§3.3), so every monitor and optimization
-// combination — and every runtime — must agree exactly.
+// combination — and every runtime — must agree exactly. No run may leave a
+// goroutine behind.
 func TestFuzzOptionsAgreeRaceFree(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
@@ -192,20 +193,22 @@ func TestFuzzOptionsAgreeRaceFree(t *testing.T) {
 				}
 			}
 		}
-		for _, o := range opts {
-			rep, err := rfdet.New(o).Run(prog)
-			if err != nil {
-				t.Fatalf("seed %d opts %+v: %v", seed, o, err)
+		noGoroutineLeak(t, func() {
+			for _, o := range opts {
+				rep, err := rfdet.New(o).Run(prog)
+				if err != nil {
+					t.Fatalf("seed %d opts %+v: %v", seed, o, err)
+				}
+				check(fmt.Sprintf("options %+v", o), rep)
 			}
-			check(fmt.Sprintf("options %+v", o), rep)
-		}
-		for _, rt := range []rfdet.Runtime{rfdet.NewDThreads(), rfdet.NewPThreads()} {
-			rep, err := rt.Run(prog)
-			if err != nil {
-				t.Fatalf("seed %d on %s: %v", seed, rt.Name(), err)
+			for _, rt := range []rfdet.Runtime{rfdet.NewDThreads(), rfdet.NewPThreads()} {
+				rep, err := rt.Run(prog)
+				if err != nil {
+					t.Fatalf("seed %d on %s: %v", seed, rt.Name(), err)
+				}
+				check(rt.Name(), rep)
 			}
-			check(rt.Name(), rep)
-		}
+		})
 	}
 }
 
@@ -215,7 +218,7 @@ func TestFuzzOptionsAgreeRaceFree(t *testing.T) {
 // (Prelock and slice merging may legitimately select a different —
 // still deterministic — resolution of concurrent conflicting writes;
 // the paper's guarantee for races is "arbitrary but deterministic",
-// §3.4.)
+// §3.4.) No run may leave a goroutine behind.
 func TestFuzzOrderPreservingOptionsAgreeOnRaces(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
@@ -230,28 +233,31 @@ func TestFuzzOrderPreservingOptionsAgreeOnRaces(t *testing.T) {
 	for seed := int64(300); seed < 300+int64(seeds); seed++ {
 		prog := fuzzProgram(seed, false)
 		var first uint64
-		for i, o := range opts {
-			rep, err := rfdet.New(o).Run(prog)
-			if err != nil {
-				t.Fatalf("seed %d opts %+v: %v", seed, o, err)
+		noGoroutineLeak(t, func() {
+			for i, o := range opts {
+				rep, err := rfdet.New(o).Run(prog)
+				if err != nil {
+					t.Fatalf("seed %d opts %+v: %v", seed, o, err)
+				}
+				if i == 0 {
+					first = rep.OutputHash
+				} else if rep.OutputHash != first {
+					t.Fatalf("seed %d: options %+v changed the result (%#x != %#x)",
+						seed, o, rep.OutputHash, first)
+				}
 			}
-			if i == 0 {
-				first = rep.OutputHash
-			} else if rep.OutputHash != first {
-				t.Fatalf("seed %d: options %+v changed the result (%#x != %#x)",
-					seed, o, rep.OutputHash, first)
-			}
-		}
+		})
 	}
 }
 
 // TestFuzzServerReplicasAgree is the end-to-end replica fuzz wall: for random
 // request-log seeds and worker-thread counts, k replicas of the KV server
-// across differing optimization stacks, shard counts and GOMAXPROCS must
-// produce byte-identical state hashes, response hashes, observation digests
-// and virtual times. This fuzzes the active-replication property itself —
-// the whole server-shaped execution (condvar queue, shard locks, barrier,
-// atomics), not just generated kernels.
+// across differing optimization stacks and GOMAXPROCS must produce
+// byte-identical state hashes, response hashes, observation digests and
+// virtual times. This fuzzes the active-replication property itself — the
+// whole server-shaped execution (condvar queue, shard locks, barrier,
+// atomics), not just generated kernels. No replica may leave a goroutine
+// behind.
 func TestFuzzServerReplicasAgree(t *testing.T) {
 	seeds := 8
 	if testing.Short() {
@@ -262,20 +268,22 @@ func TestFuzzServerReplicasAgree(t *testing.T) {
 		threads := 2 + int(seed%4) // 2..5 workers, derived from the seed
 		cfg := workloads.Config{Threads: threads, Size: workloads.SizeTest}
 
-		mk := func(name string, shards, procs int, race bool) harness.ReplicaVariant {
+		mk := func(name string, procs int, race bool) harness.ReplicaVariant {
 			opts := core.DefaultOptions()
-			opts.ShardCount = shards
 			opts.RaceDetect = race
 			return harness.ReplicaVariant{Name: name, Procs: procs, Opts: opts}
 		}
 		variants := []harness.ReplicaVariant{
-			mk("default/p1", core.DefaultOptions().ShardCount, 1, false),
-			mk("racedetect/p4", core.DefaultOptions().ShardCount, 4, true),
-			mk("racedetect/p8", core.DefaultOptions().ShardCount, 8, true),
-			mk("shards1/p4", 1, 4, false),
-			mk("shards4-racedetect/p2", 4, 2, true),
+			mk("default/p1", 1, false),
+			mk("racedetect/p4", 4, true),
+			mk("racedetect/p8", 8, true),
+			mk("default/p4", 4, false),
+			mk("racedetect/p2", 2, true),
 		}
-		rep := harness.RunServerReplicas(cfg, seed, variants)
+		var rep *harness.ReplicaReport
+		noGoroutineLeak(t, func() {
+			rep = harness.RunServerReplicas(cfg, seed, variants)
+		})
 		if rep.Divergent() {
 			t.Fatalf("seed %#x threads %d: replicas diverged:\n%s",
 				seed, threads, fmtDivergences(rep.Divergences))
@@ -302,7 +310,7 @@ func fmtDivergences(ds []string) string {
 
 // TestFuzzValidated runs generated programs with the DLRC invariant checker
 // enabled: the slice lists must satisfy the happens-before structure of
-// §4.2/§4.3 on every execution.
+// §4.2/§4.3 on every execution, and no run may leave a goroutine behind.
 func TestFuzzValidated(t *testing.T) {
 	seeds := 20
 	if testing.Short() {
@@ -310,56 +318,11 @@ func TestFuzzValidated(t *testing.T) {
 	}
 	for seed := int64(500); seed < 500+int64(seeds); seed++ {
 		o := rfdet.Options{SliceMerging: true, Prelock: true, Validate: true}
-		if _, err := rfdet.New(o).Run(fuzzProgram(seed, false)); err != nil {
-			t.Fatalf("seed %d failed validation: %v", seed, err)
-		}
-	}
-}
-
-// TestFuzzShardCountAgrees: the sharded commit monitor must be invisible to
-// every deterministic observable. All monitor-state mutation happens while
-// holding the deterministic turn, so splitting the monitor into per-address-
-// range domains changes which host mutex covers the residual windows, never
-// the order of any clock join — a strict equivalence. Even racy programs,
-// under either monitor, with the full
-// optimization stack, at any GOMAXPROCS, must produce bit-identical output
-// hashes AND virtual times with one domain (the seed's global monitor) or
-// four.
-func TestFuzzShardCountAgrees(t *testing.T) {
-	seeds := 10
-	if testing.Short() {
-		seeds = 3
-	}
-	bases := []rfdet.Options{
-		{Monitor: rfdet.MonitorCI},
-		{Monitor: rfdet.MonitorPF},
-		{Monitor: rfdet.MonitorCI, SliceMerging: true, Prelock: true, LazyWrites: true},
-		{Monitor: rfdet.MonitorPF, SliceMerging: true, Prelock: true, LazyWrites: true},
-	}
-	for seed := int64(1100); seed < 1100+int64(seeds); seed++ {
-		prog := fuzzProgram(seed, false)
-		for _, base := range bases {
-			var firstOut, firstVT uint64
-			haveFirst := false
-			for _, shards := range []int{1, 4} {
-				for _, procs := range []int{1, 2, 4, 8} {
-					old := runtime.GOMAXPROCS(procs)
-					o := base
-					o.ShardCount = shards
-					rep, err := rfdet.New(o).Run(prog)
-					runtime.GOMAXPROCS(old)
-					if err != nil {
-						t.Fatalf("seed %d opts %+v shards=%d P=%d: %v", seed, base, shards, procs, err)
-					}
-					if !haveFirst {
-						firstOut, firstVT, haveFirst = rep.OutputHash, rep.VirtualTime, true
-					} else if rep.OutputHash != firstOut || rep.VirtualTime != firstVT {
-						t.Fatalf("seed %d opts %+v shards=%d P=%d: sharding changed the result (output %#x vtime %d != %#x %d)",
-							seed, base, shards, procs, rep.OutputHash, rep.VirtualTime, firstOut, firstVT)
-					}
-				}
+		noGoroutineLeak(t, func() {
+			if _, err := rfdet.New(o).Run(fuzzProgram(seed, false)); err != nil {
+				t.Fatalf("seed %d failed validation: %v", seed, err)
 			}
-		}
+		})
 	}
 }
 
@@ -369,10 +332,10 @@ func TestFuzzShardCountAgrees(t *testing.T) {
 // filter can select again — so a metadata space small enough for GC to fire
 // throughout the run must reproduce the default capacity's results. Even
 // racy programs, under either monitor, with the full optimization stack, at
-// any GOMAXPROCS and either monitor shard count, must produce bit-identical
-// output hashes AND virtual times. At 8 KiB GC fires on many of these
-// programs; the wall fails if it never fires, since it would then compare
-// nothing.
+// any GOMAXPROCS, must produce bit-identical output hashes AND virtual
+// times. At 8 KiB GC fires on many of these programs; the wall fails if it
+// never fires, since it would then compare nothing. No run may leave a
+// goroutine behind.
 func TestFuzzGCPressureAgrees(t *testing.T) {
 	seeds := 10
 	if testing.Short() {
@@ -390,17 +353,16 @@ func TestFuzzGCPressureAgrees(t *testing.T) {
 		for _, base := range bases {
 			var firstOut, firstVT uint64
 			haveFirst := false
-			for _, capacity := range []uint64{0, 8 << 10} {
-				for _, shards := range []int{1, 4} {
+			noGoroutineLeak(t, func() {
+				for _, capacity := range []uint64{0, 8 << 10} {
 					for _, procs := range []int{1, 2, 4, 8} {
 						old := runtime.GOMAXPROCS(procs)
 						o := base
 						o.MetadataCapacity = capacity
-						o.ShardCount = shards
 						rep, err := rfdet.New(o).Run(prog)
 						runtime.GOMAXPROCS(old)
 						if err != nil {
-							t.Fatalf("seed %d opts %+v cap=%d shards=%d P=%d: %v", seed, base, capacity, shards, procs, err)
+							t.Fatalf("seed %d opts %+v cap=%d P=%d: %v", seed, base, capacity, procs, err)
 						}
 						runs++
 						if rep.Stats.GCCount > 0 {
@@ -409,12 +371,12 @@ func TestFuzzGCPressureAgrees(t *testing.T) {
 						if !haveFirst {
 							firstOut, firstVT, haveFirst = rep.OutputHash, rep.VirtualTime, true
 						} else if rep.OutputHash != firstOut || rep.VirtualTime != firstVT {
-							t.Fatalf("seed %d opts %+v cap=%d shards=%d P=%d: GC changed the result (output %#x vtime %d != %#x %d)",
-								seed, base, capacity, shards, procs, rep.OutputHash, rep.VirtualTime, firstOut, firstVT)
+							t.Fatalf("seed %d opts %+v cap=%d P=%d: GC changed the result (output %#x vtime %d != %#x %d)",
+								seed, base, capacity, procs, rep.OutputHash, rep.VirtualTime, firstOut, firstVT)
 						}
 					}
 				}
-			}
+			})
 		}
 	}
 	if gcRuns == 0 {

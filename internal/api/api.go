@@ -216,18 +216,10 @@ type Stats struct {
 	BytesCoalescedAway uint64 // duplicate bytes elided by write plans
 	PlanReuse          uint64 // waiters that shared a cached write plan
 
-	// Sharded-monitor observability (Options.ShardCount; internal/core
-	// shard.go). MonitorShards echoes the configured domain count.
-	// ShardReleases counts releases stamped with a domain version;
-	// CrossShardAcquires counts acquires whose happens-before edge entered
-	// a different domain than the acquirer's previous synchronization;
-	// RendezvousOps counts slow-path global rendezvous entries (spawn,
-	// join, exit, barrier). All observability only, never part of the
-	// deterministic output.
-	MonitorShards      uint64 // configured commit-monitor domain count
-	ShardReleases      uint64 // releases stamped with a domain version
-	CrossShardAcquires uint64 // acquires crossing domain boundaries
-	RendezvousOps      uint64 // global-rendezvous monitor entries
+	// RendezvousOps counts the lifecycle and barrier monitor entries
+	// (spawn, join, exit, barrier), a subset of MonitorAcquires.
+	// Observability only, never part of the deterministic output.
+	RendezvousOps uint64 // lifecycle and barrier monitor entries
 }
 
 // Add accumulates other into s.
@@ -270,11 +262,6 @@ func (s *Stats) Add(other *Stats) {
 	}
 	s.BytesCoalescedAway += other.BytesCoalescedAway
 	s.PlanReuse += other.PlanReuse
-	if other.MonitorShards > s.MonitorShards {
-		s.MonitorShards = other.MonitorShards
-	}
-	s.ShardReleases += other.ShardReleases
-	s.CrossShardAcquires += other.CrossShardAcquires
 	s.RendezvousOps += other.RendezvousOps
 	// High-water and pass counters take the max / sum as appropriate.
 	if other.SharedMemBytes > s.SharedMemBytes {

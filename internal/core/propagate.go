@@ -30,14 +30,13 @@ import (
 // The work splits into a monitor half and a private half. Collecting walks
 // the releaser's monitor-guarded slice-pointer list, appends to the
 // acquirer's list and joins the vector clocks: that runs inside the
-// operation's commit-monitor domain section, under the deterministic turn
-// (which is what actually orders the lists — see shard.go). Applying the
-// collected modification runs touches only the acquirer's private address
-// space: for the acquire paths — where the applying thread owns its space —
-// it runs off the monitor, after the operation releases its domain. The
-// prelock pre-merge and the barrier merge instead mutate *blocked* threads'
-// spaces, which is only sound while the monitor proves they stay blocked,
-// so those applications remain under the domain (or rendezvous) lock.
+// operation's commit-monitor section, under the deterministic turn.
+// Applying the collected modification runs touches only the acquirer's
+// private address space: for the acquire paths — where the applying thread
+// owns its space — it runs off the monitor, after the operation releases
+// it. The prelock pre-merge and the barrier merge instead mutate *blocked*
+// threads' spaces, which is only sound while the monitor proves they stay
+// blocked, so those applications remain under the monitor.
 
 // collectLocked gathers the slices to propagate from from's list, filtered
 // by the upperlimit upper and the lowerlimit t.vtime. Must run inside a
@@ -310,22 +309,10 @@ func (t *thread) applyPlanToSpace(plan *mem.WritePlan) {
 // unaffected by when t's private space absorbs the runs; and t applies them
 // before returning to application code, so t itself never reads memory
 // missing an acquired update.
-//
-//detvet:holds sh.mu
-func (t *thread) acquireCollectLocked(sh *monShard, sv *syncVar) []*slicestore.Slice {
+func (t *thread) acquireCollectLocked(sv *syncVar) []*slicestore.Slice {
 	if sv.lastTid < 0 {
-		t.lastShard = int32(sh.id)
 		return nil
 	}
-	if t.lastShard >= 0 && t.lastShard != int32(sh.id) {
-		// Cross-domain acquire: the happens-before edge enters a domain the
-		// thread did not last synchronize in. The joined lastTime is covered
-		// by this domain's frontier at the release's stamped version
-		// (sv.lastVer ≤ frontier version, checked by Options.Validate), so
-		// the edge is exactly the one the global monitor provided.
-		sh.crossAcquires++
-	}
-	t.lastShard = int32(sh.id)
 	t.vt = vtime.Max(t.vt, sv.lastVT)
 	var slices []*slicestore.Slice
 	if sv.lastTid != int32(t.id) {
@@ -365,16 +352,14 @@ func (t *thread) acquireFromCollectLocked(fromTid int32, upper vclock.VC, releas
 // time and the collected slices; applying them to w's private memory is the
 // only work left for w itself, off the monitor (§4.3's propagation with the
 // collect and apply halves on opposite sides of the wakeup).
-//
-//detvet:holds sh.mu
-func (e *exec) prepareAcquireLocked(w *thread, sh *monShard, sv *syncVar, handoffVT vtime.Time) wakeEvent {
+func (e *exec) prepareAcquireLocked(w *thread, sv *syncVar, handoffVT vtime.Time) wakeEvent {
 	w.vt = vtime.Max(w.vt, handoffVT) + vtime.LockHandoff
 	var slices []*slicestore.Slice
 	if sig := w.pendingSignal; sig != nil {
 		w.pendingSignal = nil
 		slices = w.acquireFromCollectLocked(sig.tid, sig.v, sig.vt)
 	}
-	slices = append(slices, w.acquireCollectLocked(sh, sv)...)
+	slices = append(slices, w.acquireCollectLocked(sv)...)
 	return wakeEvent{vt: w.vt, slices: slices, pin: e.pinFor(slices)}
 }
 

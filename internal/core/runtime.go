@@ -71,16 +71,6 @@ type Options struct {
 	// LazyWrites enables the lazy-writes optimization (§4.5): propagated
 	// modifications are pended per page and applied on first access.
 	LazyWrites bool
-	// ShardCount is the number of commit-monitor domains the synchronization
-	// state is sharded into (see internal/core/shard.go). Sync vars map to
-	// domains by address range; hot operations lock only their domain(s),
-	// while lifecycle, barriers and GC take a global rendezvous. 0 selects
-	// the default (4); 1 reproduces the seed's single global monitor. Every
-	// deterministic observable — outputs, virtual times, traces, race
-	// reports — is bit-identical across shard counts: the deterministic turn
-	// already orders all monitor-state mutation, so sharding only changes
-	// which mutex a domain's residual windows contend on.
-	ShardCount int
 	// MetadataCapacity is the metadata-space size in bytes
 	// (default 256 MiB as in §5.4).
 	MetadataCapacity uint64
@@ -129,7 +119,6 @@ func DefaultOptions() Options {
 		SliceMerging: true,
 		Prelock:      true,
 		LazyWrites:   true,
-		ShardCount:   4,
 	}
 }
 
@@ -153,11 +142,9 @@ var errAborted = errors.New("rfdet: execution aborted")
 
 // exec is the state of one program execution: the paper's metadata space
 // (synchronization variables, the slice store, the shared allocator) plus
-// the thread table and the Kendo arbiter. The synchronization-variable
-// state lives in the sharded commit-monitor domains (exec.shards, see
-// shard.go); a thread mutates a domain only while holding its mutex, which
-// it takes only after winning the deterministic turn, so every access
-// sequence is deterministic.
+// the thread table and the Kendo arbiter. Fields guarded by mu form the
+// commit monitor (§4.1): a thread enters it only after winning the
+// deterministic turn, so every access sequence is deterministic.
 type exec struct {
 	opts   Options
 	sched  *kendo.Sched
@@ -175,28 +162,23 @@ type exec struct {
 	// phases, purely observational.
 	races *racecheck.Detector
 
-	// shards are the per-address-range commit-monitor domains. Hot sync
-	// ops lock only the domain(s) owning their variables; the global
-	// rendezvous (shard.go) locks them all plus mu.
-	shards []*monShard
-
-	// mu is the global half of the monitor: lifecycle and barrier
-	// rendezvous, GC passes, the abort path, and the thread table. It is
-	// the maximum element of the lock order — taken after any domain
-	// mutexes, and a holder never waits on anything else.
+	// mu is the commit monitor. Every synchronization operation takes it
+	// once, after its turn; slice diffing and propagated-slice application
+	// run outside it (sync.go).
 	//detvet:lockorder 20
-	mu sync.Mutex //detvet:nativesync the global monitor rendezvous (§4.1 sharded); ordered after the domain mutexes.
-	//detvet:notguarded appended only under the full rendezvous; readers either hold the turn or run after the workers exited, both of which the rendezvous mutually excludes
-	threads []*thread
-	//detvet:notguarded written only under the spawn rendezvous, read only by the post-execution report build
-	maxLive int
+	mu sync.Mutex //detvet:nativesync the commit monitor (§4.1); every sync op serializes here under a Kendo turn.
+	// syncvars is the internal synchronization variable table (§4.1).
+	//detvet:guardedby mu
+	syncvars map[api.Addr]*syncVar
+	//detvet:notguarded appended only under mu by Spawn; other readers either hold the turn (which Spawn's append also holds) or run after the workers exited
+	threads      []*thread
+	maxLive      int //detvet:guardedby mu
+	liveCount    int //detvet:guardedby mu
+	blockedCount int //detvet:guardedby mu
 
-	// liveCount and blockedCount are atomics because the deadlock check on
-	// a hot-path block holds only that path's domain, not mu.
-	liveCount    atomic.Int64
-	blockedCount atomic.Int64
-	// aborted is atomic for the same reason: hot paths consult it at
-	// relock time while holding only their domain.
+	// aborted is atomic because sleep consults it without the monitor: a
+	// pre-turn failure (Barrier's count check) can land between a peer's
+	// Blocked flip and its park.
 	aborted  atomic.Bool
 	abortErr error
 
@@ -209,23 +191,18 @@ type exec struct {
 }
 
 // syncVar is an internal synchronization variable (§4.1): the runtime-side
-// object backing the application mutex/condvar/barrier at one address. It
-// lives in, and is guarded by, the commit-monitor domain owning its address
-// (shardFor).
+// object backing the application mutex/condvar/barrier at one address,
+// guarded by the commit monitor.
 type syncVar struct {
 	// Mutex state.
 	held  bool
 	owner api.ThreadID
 	lockQ waitq[api.ThreadID]
 	// Release record: who last released the variable and when (§4.1,
-	// lastTid/lastTime), plus the release's virtual time and the owning
-	// domain's version counter at the release (Louvre-style stamp; the
-	// domain frontier covers lastTime at every version ≥ lastVer, checked
-	// by Options.Validate).
+	// lastTid/lastTime), plus the release's virtual time.
 	lastTid  int32
 	lastTime vclock.VC
 	lastVT   vtime.Time
-	lastVer  uint64
 	// Condition-variable wait queue, in deterministic wait order.
 	condQ waitq[condEntry]
 	// Barrier arrivals for the current generation.
@@ -286,32 +263,29 @@ type signalRecord struct {
 	vt  vtime.Time
 }
 
+// storeStripes is the epoch store's commit-lane count (threads map to
+// lanes by id). It fixes the store's segment layout and per-lane budget
+// attribution independently of the host.
+const storeStripes = 4
+
 func newExec(opts Options) *exec {
 	if opts.MetadataCapacity == 0 {
 		opts.MetadataCapacity = slicestore.DefaultCapacity
-	}
-	if opts.ShardCount == 0 {
-		opts.ShardCount = DefaultOptions().ShardCount
-	}
-	if opts.ShardCount < 1 {
-		opts.ShardCount = 1
-	}
-	if opts.ShardCount > maxShards {
-		opts.ShardCount = maxShards
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 8 {
 		workers = 8
 	}
 	e := &exec{
-		opts:    opts,
-		sched:   kendo.NewSched(),
-		alloc:   alloc.New(),
-		diffSem: make(chan struct{}, workers), //detvet:nativesync semaphore bounding the diff worker pool; tokens carry no data.
-		store:   slicestore.NewEpochStore(opts.MetadataCapacity, opts.GCThresholdPct, opts.ShardCount),
-	}
-	for i := 0; i < opts.ShardCount; i++ {
-		e.shards = append(e.shards, &monShard{id: i, syncvars: make(map[api.Addr]*syncVar)})
+		opts:     opts,
+		sched:    kendo.NewSched(),
+		alloc:    alloc.New(),
+		diffSem:  make(chan struct{}, workers), //detvet:nativesync semaphore bounding the diff worker pool; tokens carry no data.
+		store:    slicestore.NewEpochStore(opts.MetadataCapacity, opts.GCThresholdPct, storeStripes),
+		syncvars: make(map[api.Addr]*syncVar),
+		// Thread 0, registered by RunTraced, is live from the start.
+		liveCount: 1,
+		maxLive:   1,
 	}
 	if opts.PhaseTrace {
 		e.phases = trace.NewCollector()
@@ -320,6 +294,48 @@ func newExec(opts Options) *exec {
 		e.races = racecheck.New()
 	}
 	return e
+}
+
+// lockMonitor enters the commit monitor on behalf of thread t, counting the
+// entry for the contention statistics and recording the wait as a
+// monitor-wait phase span (one span per monitor entry, so the span count
+// reconciles with Stats.MonitorAcquires).
+//
+//detvet:acquires mu
+func (e *exec) lockMonitor(t *thread) {
+	ts := t.tb.Now()
+	e.mu.Lock()
+	t.st.MonitorAcquires++
+	t.tb.Span(trace.PhaseMonitorWait, ts)
+}
+
+// relockMonitor retakes the monitor after an off-monitor work window opened
+// inside a turn-held operation (endSliceDropMonitor, deferred propagation
+// in atomicOp). If the execution aborted while the monitor was released,
+// the thread must unwind instead of continuing to mutate synchronization
+// state — in particular it must not block, because failLocked has already
+// delivered its abort wakeups.
+//
+//detvet:acquires mu
+func (e *exec) relockMonitor(t *thread) {
+	e.lockMonitor(t)
+	if e.aborted.Load() {
+		e.mu.Unlock()
+		panic(errAborted)
+	}
+}
+
+// syncvar returns (creating if needed) the internal synchronization
+// variable at address a.
+//
+//detvet:holds mu
+func (e *exec) syncvar(a api.Addr) *syncVar {
+	sv, ok := e.syncvars[a]
+	if !ok {
+		sv = &syncVar{owner: -1, lastTid: -1}
+		e.syncvars[a] = sv
+	}
+	return sv
 }
 
 // Run executes main as thread 0 and returns the deterministic report.
@@ -337,10 +353,9 @@ func (r *Runtime) RunTraced(main api.ThreadFunc) (*api.Report, *Trace, error) {
 		e.tracer = &tracer{}
 	}
 	t0 := &thread{
-		exec:      e,
-		id:        0,
-		fn:        main,
-		lastShard: -1,
+		exec: e,
+		id:   0,
+		fn:   main,
 		// The main thread does not monitor modifications until the first
 		// child thread is created (§4.1): before that, no other memory
 		// space exists to propagate to, and the first child inherits the
@@ -355,8 +370,6 @@ func (r *Runtime) RunTraced(main api.ThreadFunc) (*api.Report, *Trace, error) {
 	t0.proc = e.sched.Register(0, 0)
 	e.alloc.Register(0)
 	e.threads = append(e.threads, t0)
-	e.liveCount.Store(1)
-	e.maxLive = 1
 
 	start := stats.Now()
 	e.wg.Add(1)
@@ -390,7 +403,7 @@ func (e *exec) runThread(t *thread) {
 		if r != nil && r != errAborted { //nolint:errorlint // sentinel identity
 			e.fail(fmt.Errorf("rfdet: thread %d panicked: %v", t.id, r))
 		}
-		e.threadExit(t, r != nil)
+		t.threadExit(r != nil)
 	}()
 	t.tb.Begin()
 	t.beginSlice()
@@ -399,7 +412,8 @@ func (e *exec) runThread(t *thread) {
 
 // threadExit performs the thread's final release: it ends the last slice,
 // records the exit timestamp and wakes joiners (§4.1, thread exit).
-func (e *exec) threadExit(t *thread, abnormal bool) {
+func (t *thread) threadExit(abnormal bool) {
+	e := t.exec
 	if !abnormal && !e.sched.Aborted() {
 		// Exit is a synchronization (release) operation: take the turn so
 		// the exit point is deterministic.
@@ -411,8 +425,9 @@ func (e *exec) threadExit(t *thread, abnormal bool) {
 			}
 		}
 	}
-	e.rendezvous(t)
-	defer e.releaseRendezvous(t)
+	e.lockMonitor(t)
+	defer e.mu.Unlock()
+	t.st.RendezvousOps++
 	if !e.aborted.Load() {
 		t.flushAllPending()
 		t.exitV = t.endSliceLocked()
@@ -420,7 +435,7 @@ func (e *exec) threadExit(t *thread, abnormal bool) {
 		t.exitV = t.vtime.Clone()
 	}
 	t.exitVT = t.vt
-	e.liveCount.Add(-1)
+	e.liveCount--
 	for _, j := range t.joiners {
 		if e.aborted.Load() {
 			// failLocked has already delivered an abort wakeup to every
@@ -459,8 +474,8 @@ func (e *exec) threadExit(t *thread, abnormal bool) {
 	e.sched.Transition(func() { t.proc.SetStatus(kendo.Exited) })
 	t.sendWakes()
 	t.tb.Finish()
-	if live := e.liveCount.Load(); !e.aborted.Load() && live > 0 && e.blockedCount.Load() == live {
-		e.failLocked(fmt.Errorf("rfdet: deterministic deadlock: all %d live threads blocked", live))
+	if !e.aborted.Load() && e.liveCount > 0 && e.blockedCount == e.liveCount {
+		e.failLocked(fmt.Errorf("rfdet: deterministic deadlock: all %d live threads blocked", e.liveCount))
 	}
 }
 
@@ -473,19 +488,20 @@ func (e *exec) syncEvent(t *thread, op string, addr api.Addr) {
 	t.tb.Mark(op, uint64(addr))
 }
 
-// fail aborts the execution with err (first error wins). It takes only
-// exec.mu — never the domain mutexes, because fail is reached from inside
-// domain sections (misuse errors, the deadlock check), and the lock order
-// puts mu after the domains.
+// fail aborts the execution with err (first error wins) from outside the
+// monitor. A failure detected inside a monitor section must call failLocked
+// instead: fail would self-deadlock on mu.
 func (e *exec) fail(err error) {
 	e.mu.Lock()
 	e.failLocked(err)
 	e.mu.Unlock()
 }
 
-// failLocked aborts under exec.mu: it records the error, aborts the Kendo
-// arbiter so spinners unwind, and probes every blocked thread's mailbox
-// with an abort event.
+// failLocked aborts under the monitor: it records the error, aborts the
+// Kendo arbiter so spinners unwind, and probes every blocked thread's
+// mailbox with an abort event.
+//
+//detvet:holds mu
 func (e *exec) failLocked(err error) {
 	if e.aborted.Load() {
 		return
@@ -518,21 +534,24 @@ type pendingWake struct {
 // w may carry a smaller Kendo clock than t, so once running it could pass
 // WaitForTurn while t is still inside its operation. Delivering at the end
 // of t's operation (finishOpLocked, threadExit) keeps the turn exclusive.
+//
+//detvet:holds t.exec.mu
 func (t *thread) wakeLocked(w *thread, ev wakeEvent) {
 	e := t.exec
 	e.sched.Transition(func() { w.proc.SetStatus(kendo.Running) })
-	e.blockedCount.Add(-1)
+	e.blockedCount--
 	t.wakes = append(t.wakes, pendingWake{w: w, ev: ev})
 }
 
 // sendWakes delivers the wake events queued by wakeLocked.
 func (t *thread) sendWakes() {
 	for i, pw := range t.wakes {
-		// Non-blocking by necessity: the abort path holds only exec.mu, so
-		// failLocked can deliver an abort probe into this mailbox at any
-		// time. Each sleep has exactly one monitor-ordered waker, so the
-		// only way the 1-buffered mailbox is full is such an abort probe —
-		// in which case the sleeper unwinds on it and this event is moot.
+		// Non-blocking by necessity: a failure raised outside the turn (a
+		// zero-count barrier, a bad free, a user panic) can probe this
+		// mailbox after the waker won its turn. Each sleep has exactly one
+		// monitor-ordered waker, so the only way the 1-buffered mailbox is
+		// full is such an abort probe — in which case the sleeper unwinds
+		// on it and this event is moot.
 		//detvet:nativesync wake handoff; the Transition in wakeLocked fixed the admission order, and a full mailbox means an abort probe won.
 		select {
 		case pw.w.wake <- pw.ev:
@@ -544,9 +563,10 @@ func (t *thread) sendWakes() {
 }
 
 // blockLocked marks the calling thread blocked (recording the block site for
-// deadlock diagnostics) and checks for deadlock. The caller holds its
-// operation's domain(s) — or the rendezvous — which is what makes the
-// thread "provably blocked" to wakers in the same domain.
+// deadlock diagnostics) and checks for deadlock. The caller holds the
+// monitor, which is what makes the thread "provably blocked" to wakers.
+//
+//detvet:holds t.exec.mu
 func (t *thread) blockLocked(site string) {
 	e := t.exec
 	t.blockedOn = site
@@ -556,21 +576,16 @@ func (t *thread) blockLocked(site string) {
 	// the block span sleep() closes.
 	t.blockStart = t.tb.Now()
 	e.sched.Transition(func() { t.proc.SetStatus(kendo.Blocked) })
-	if b := e.blockedCount.Add(1); b == e.liveCount.Load() {
-		err := fmt.Errorf("rfdet: deterministic deadlock: all %d live threads blocked: %s", b, e.blockSites())
-		if t.holdsGlobal {
-			e.failLocked(err)
-		} else {
-			e.fail(err)
-		}
+	e.blockedCount++
+	if e.blockedCount == e.liveCount {
+		e.failLocked(fmt.Errorf("rfdet: deterministic deadlock: all %d live threads blocked: %s", e.liveCount, e.blockSitesLocked()))
 	}
 }
 
-// blockSites describes where each blocked thread is stuck. The caller
-// holds at least one domain mutex (or the rendezvous), which excludes the
-// Spawn rendezvous and so pins e.threads; the blockedOn strings it reads
-// were published before each thread's status flipped to Blocked.
-func (e *exec) blockSites() string {
+// blockSitesLocked describes where each blocked thread is stuck. The
+// caller holds the monitor, which pins e.threads; the blockedOn strings it
+// reads were published before each thread's status flipped to Blocked.
+func (e *exec) blockSitesLocked() string {
 	s := ""
 	for _, t := range e.threads {
 		if t.proc.Status() == kendo.Blocked {
@@ -605,6 +620,8 @@ func (t *thread) sleep() wakeEvent {
 }
 
 // buildReportLocked assembles the execution report.
+//
+//detvet:holds mu
 func (e *exec) buildReportLocked(elapsed time.Duration) *api.Report {
 	rep := &api.Report{
 		Observations: make(map[api.ThreadID][]uint64, len(e.threads)),
@@ -634,12 +651,6 @@ func (e *exec) buildReportLocked(elapsed time.Duration) *api.Report {
 	put(e.threads[0].space.Hash())
 	rep.OutputHash = h.Sum64()
 
-	rep.Stats.MonitorShards = uint64(len(e.shards))
-	//detvet:lockcheck report build runs after every worker has exited; the domains are quiescent and nothing mutates their counters.
-	for _, sh := range e.shards {
-		rep.Stats.ShardReleases += sh.releases
-		rep.Stats.CrossShardAcquires += sh.crossAcquires
-	}
 	rep.Stats.SharedMemBytes = e.alloc.HighWater()
 	rep.Stats.MetadataBytes = e.store.HighWater()
 	rep.Stats.MetadataCapacity = e.store.Capacity()

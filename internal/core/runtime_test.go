@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"rfdet/internal/api"
 	"rfdet/internal/mem"
@@ -312,7 +314,12 @@ func TestMainPreForkUnmonitored(t *testing.T) {
 	}
 }
 
-// TestMisuseDiagnostics covers the deterministic failure paths.
+// TestMisuseDiagnostics covers the deterministic failure paths. Each misuse
+// runs alone and once more with a peer thread blocked when it fires — on a
+// held mutex, in a condvar wait, or joining main — so the abort has to wake
+// that peer. A failure detected inside the monitor must abort through
+// failLocked; reaching for the monitor again there would hang the run
+// instead of failing it.
 func TestMisuseDiagnostics(t *testing.T) {
 	cases := []struct {
 		name string
@@ -345,14 +352,86 @@ func TestMisuseDiagnostics(t *testing.T) {
 			panic("user bug")
 		}, "panicked"},
 	}
+	const peerMu, peerCond = api.Addr(4096), api.Addr(4160)
+	// fence lets the peer reach its blocking point: the peer's sync ops run
+	// at smaller Kendo clocks, so they are admitted (and the peer is Blocked)
+	// before main wins the turn for the atomic.
+	fence := func(th api.Thread) {
+		w := th.Malloc(8)
+		th.Tick(100000)
+		th.AtomicAdd64(w, 1)
+	}
+	peers := []struct {
+		name string
+		wrap func(misuse api.ThreadFunc) api.ThreadFunc
+	}{
+		{"blocked lock waiter", func(misuse api.ThreadFunc) api.ThreadFunc {
+			return func(th api.Thread) {
+				th.Lock(peerMu)
+				th.Spawn(func(c api.Thread) {
+					c.Lock(peerMu) // main holds it for good
+					c.Unlock(peerMu)
+				})
+				fence(th)
+				misuse(th)
+			}
+		}},
+		{"blocked cond waiter", func(misuse api.ThreadFunc) api.ThreadFunc {
+			return func(th api.Thread) {
+				th.Spawn(func(c api.Thread) {
+					c.Lock(peerMu)
+					c.Wait(peerCond, peerMu) // never signaled
+					c.Unlock(peerMu)
+				})
+				fence(th)
+				misuse(th)
+			}
+		}},
+		{"blocked joiner", func(misuse api.ThreadFunc) api.ThreadFunc {
+			return func(th api.Thread) {
+				th.Spawn(func(c api.Thread) {
+					c.Join(0) // main never exits normally
+				})
+				fence(th)
+				misuse(th)
+			}
+		}},
+	}
+	check := func(t *testing.T, prog api.ThreadFunc, want string) {
+		t.Helper()
+		before := runtime.NumGoroutine()
+		done := make(chan error, 1)
+		go func() {
+			_, err := New(DefaultOptions()).Run(prog)
+			done <- err
+		}()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("Run did not return: the abort left a thread hanging")
+		}
+		if err == nil {
+			t.Fatal("expected error")
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("goroutine leak: %d goroutines before the run, %d after", before, runtime.NumGoroutine())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := New(DefaultOptions()).Run(tc.prog)
-			if err == nil {
-				t.Fatalf("%s: expected error", tc.name)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
+			check(t, tc.prog, tc.want)
+			for _, p := range peers {
+				t.Run(p.name, func(t *testing.T) {
+					check(t, p.wrap(tc.prog), tc.want)
+				})
 			}
 		})
 	}

@@ -20,24 +20,13 @@ import (
 // thread is one logical DMT thread: a private address space, a DLRC vector
 // clock, the slice-pointer list of §4.3, and the current slice's monitoring
 // state. A thread struct is mutated by its own goroutine, or — for the
-// monitor-guarded fields — by other threads holding the relevant
-// commit-monitor domain (or the rendezvous) while this thread is provably
-// blocked (lock grant, barrier merge).
+// monitor-guarded fields — by other threads holding the commit monitor
+// while this thread is provably blocked (lock grant, barrier merge).
 type thread struct {
 	exec *exec
 	id   api.ThreadID
 	fn   api.ThreadFunc
 	proc *kendo.Proc
-
-	// lastShard is the id of the commit-monitor domain of this thread's
-	// most recent release or variable acquire, -1 before the first
-	// (cross-domain acquire accounting; shard.go). holdsGlobal marks that
-	// the thread currently holds the global rendezvous, which routes GC
-	// requests straight to gcLocked. shardScratch is the reusable buffer
-	// behind shardSet.
-	lastShard    int32
-	holdsGlobal  bool
-	shardScratch []*monShard
 
 	// space is the thread's private view of shared memory.
 	space *mem.Space
@@ -503,7 +492,9 @@ func (t *thread) commitSliceLocked(s *slicestore.Slice) vclock.VC {
 	if s != nil {
 		t.st.SlicesCreated++
 		t.slicePtrs = append(t.slicePtrs, s)
-		t.exec.maybeGC(t, t.exec.store.Commit(s))
+		if t.exec.store.Commit(s) {
+			t.exec.gcLocked()
+		}
 	}
 	if t.exec.races != nil {
 		t.recordAccessLocked(s, tend)
@@ -515,10 +506,8 @@ func (t *thread) commitSliceLocked(s *slicestore.Slice) vclock.VC {
 // recordAccessLocked hands the just-committed slice's access footprint —
 // writes from its modification list, reads harvested by finishSlice — to the
 // race detector, stamped with the slice's pre-bump clock. Always reached
-// turn-held (commits happen only under the deterministic turn), which is
-// what serializes and orders detector mutations now that commits from
-// different monitor domains no longer share a mutex; charges no virtual
-// time.
+// turn-held under the monitor, which serializes and orders detector
+// mutations; charges no virtual time.
 func (t *thread) recordAccessLocked(s *slicestore.Slice, tend vclock.VC) {
 	var writes []racecheck.Range
 	if s != nil {
@@ -553,22 +542,22 @@ func (t *thread) endSliceLocked() vclock.VC {
 	return t.commitSliceLocked(t.finishSlice())
 }
 
-// endSliceDropShard ends the current slice from within a domain section by
-// dropping the domain mutex around the page diffing, then retaking it to
+// endSliceDropMonitor ends the current slice from within a monitor section
+// by dropping the monitor around the page diffing, then retaking it to
 // commit. Safe because the caller holds the deterministic turn: every
 // mutation of monitor-guarded synchronization state happens under the turn,
-// so the state the caller was looking at cannot change while the domain is
+// so the state the caller was looking at cannot change while the monitor is
 // released.
 //
-//detvet:holds sh.mu
-func (t *thread) endSliceDropShard(sh *monShard) vclock.VC {
+//detvet:holds t.exec.mu
+func (t *thread) endSliceDropMonitor() vclock.VC {
 	if len(t.snapOrder) == 0 {
 		return t.endSliceLocked()
 	}
 	e := t.exec
-	sh.mu.Unlock()
+	e.mu.Unlock()
 	s := t.finishSlice()
-	e.relockShard(t, sh)
+	e.relockMonitor(t)
 	return t.commitSliceLocked(s)
 }
 

@@ -66,28 +66,5 @@ func (e *exec) validateLocked() error {
 			last = own
 		}
 	}
-	// 4. The Louvre invariant of the sharded monitor (shard.go): every
-	//    release record is stamped with a version its domain's counter has
-	//    reached, and the domain frontier — the join of every release
-	//    advanced in the domain — covers the record's timestamp. Together
-	//    these are what make a cross-domain acquire's clock join equivalent
-	//    to the one the global monitor performed.
-	//detvet:lockcheck post-execution validation: every worker has exited, so the domains are quiescent and exec.mu alone orders these reads.
-	for _, sh := range e.shards {
-		//detvet:orderfree only the first violation is reported, and any violation fails validation regardless of which map order surfaces it.
-		for a, sv := range sh.syncvars {
-			if sv.lastTid < 0 {
-				continue
-			}
-			if sv.lastVer == 0 || sv.lastVer > sh.frontier.Version() {
-				return fmt.Errorf("rfdet: validate: shard %d var %#x release version %d outside domain counter %d",
-					sh.id, uint64(a), sv.lastVer, sh.frontier.Version())
-			}
-			if !sh.frontier.Covers(sv.lastTime) {
-				return fmt.Errorf("rfdet: validate: shard %d var %#x release time %s not covered by domain frontier %s",
-					sh.id, uint64(a), sv.lastTime, sh.frontier.Clock())
-			}
-		}
-	}
 	return nil
 }

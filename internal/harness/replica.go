@@ -6,8 +6,8 @@ package harness
 // *must* be byte-identical, whatever host parallelism or internal
 // optimization stack each one runs with (Aviram & Ford, "Efficient
 // System-Enforced Deterministic Parallelism"). This file runs k replicas of
-// the KV server workload across differing GOMAXPROCS, commit-monitor shard
-// counts and optimization stacks, byte-compares their state hashes, response
+// the KV server workload across differing GOMAXPROCS and optimization
+// stacks, byte-compares their state hashes, response
 // hashes, full observation logs and virtual times, and reports requests/sec
 // in virtual and host time plus per-request phase breakdowns from the phase
 // trace. A replica whose run aborts is reported as divergent-by-abort, never
@@ -176,8 +176,8 @@ func runOneReplica(cfg workloads.Config, seed uint64, requests int, v ReplicaVar
 
 // DefaultVariants returns k replica variants cycling through the
 // configurations the equivalence walls pin as observational — the full
-// default stack, the happens-before race detector, and the single-domain
-// commit monitor — all with phase tracing on so the replica table can report
+// default stack and the happens-before race detector — all with phase
+// tracing on so the replica table can report
 // per-request phase costs. Procs stays 0: ambient GOMAXPROCS, so CI matrix
 // sweeps control host parallelism externally.
 func DefaultVariants(k int) []ReplicaVariant {
@@ -186,11 +186,6 @@ func DefaultVariants(k int) []ReplicaVariant {
 		{Name: "racedetect", Opts: func() core.Options {
 			o := core.DefaultOptions()
 			o.RaceDetect = true
-			return o
-		}()},
-		{Name: "shards1", Opts: func() core.Options {
-			o := core.DefaultOptions()
-			o.ShardCount = 1
 			return o
 		}()},
 	}
@@ -205,8 +200,8 @@ func DefaultVariants(k int) []ReplicaVariant {
 }
 
 // MatrixVariants returns the full acceptance matrix: GOMAXPROCS {1,4,8} ×
-// commit-monitor shards {1,4} × {default, RaceDetect} — 12 replicas of the
-// same request log, every one of which must be byte-identical to the rest.
+// {default, RaceDetect} — 6 replicas of the same request log, every one of
+// which must be byte-identical to the rest.
 func MatrixVariants() []ReplicaVariant {
 	stacks := []struct {
 		name  string
@@ -217,17 +212,14 @@ func MatrixVariants() []ReplicaVariant {
 	}
 	var variants []ReplicaVariant
 	for _, procs := range []int{1, 4, 8} {
-		for _, shards := range []int{1, 4} {
-			for _, s := range stacks {
-				o := core.DefaultOptions()
-				o.ShardCount = shards
-				s.tweak(&o)
-				variants = append(variants, ReplicaVariant{
-					Name:  fmt.Sprintf("%s/p%d/s%d", s.name, procs, shards),
-					Procs: procs,
-					Opts:  o,
-				})
-			}
+		for _, s := range stacks {
+			o := core.DefaultOptions()
+			s.tweak(&o)
+			variants = append(variants, ReplicaVariant{
+				Name:  fmt.Sprintf("%s/p%d", s.name, procs),
+				Procs: procs,
+				Opts:  o,
+			})
 		}
 	}
 	return variants

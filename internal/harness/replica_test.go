@@ -10,8 +10,8 @@ import (
 )
 
 // TestReplicasAgreeAcrossStacks is the harness-level acceptance check: k=3
-// replicas of the same request log across the default, race-detecting and
-// single-domain stacks must be byte-identical in every fingerprint.
+// replicas of the same request log across the default and race-detecting
+// stacks must be byte-identical in every fingerprint.
 func TestReplicasAgreeAcrossStacks(t *testing.T) {
 	cfg := workloads.Config{Threads: 4, Size: workloads.SizeTest}
 	rep := RunServerReplicas(cfg, workloads.DefaultServerSeed, DefaultVariants(3))
@@ -38,11 +38,11 @@ func TestReplicasAgreeAcrossStacks(t *testing.T) {
 }
 
 // TestReplicaMatrixVariantsShape pins the acceptance matrix: GOMAXPROCS
-// {1,4,8} × shards {1,4} × {default, racedetect} = 12 distinct variants.
+// {1,4,8} × {default, racedetect} = 6 distinct variants.
 func TestReplicaMatrixVariantsShape(t *testing.T) {
 	vs := MatrixVariants()
-	if len(vs) != 12 {
-		t.Fatalf("%d matrix variants, want 12", len(vs))
+	if len(vs) != 6 {
+		t.Fatalf("%d matrix variants, want 6", len(vs))
 	}
 	seen := map[string]bool{}
 	racedetect := 0
@@ -57,12 +57,9 @@ func TestReplicaMatrixVariantsShape(t *testing.T) {
 		if v.Procs != 1 && v.Procs != 4 && v.Procs != 8 {
 			t.Fatalf("variant %q procs %d", v.Name, v.Procs)
 		}
-		if v.Opts.ShardCount != 1 && v.Opts.ShardCount != 4 {
-			t.Fatalf("variant %q shards %d", v.Name, v.Opts.ShardCount)
-		}
 	}
-	if racedetect != 6 {
-		t.Fatalf("%d racedetect variants, want 6", racedetect)
+	if racedetect != 3 {
+		t.Fatalf("%d racedetect variants, want 3", racedetect)
 	}
 }
 

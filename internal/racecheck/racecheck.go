@@ -133,9 +133,8 @@ func (rep *Report) Hash() uint64 {
 }
 
 // Detector accumulates slice access records and analyzes them at the end of
-// the run. The runtime records under the deterministic turn, but commits in
-// different commit-monitor domains share no runtime mutex, so the detector
-// keeps its own rather than lean on its caller's ordering. The mutex guards
+// the run. The runtime records under the deterministic turn, but the
+// detector keeps its own mutex rather than lean on its caller's ordering. The mutex guards
 // only the appends — the report's order comes from Analyze's deterministic
 // sort, never from arrival order, so the report stays byte-identical.
 type Detector struct {

@@ -54,11 +54,10 @@ type segment struct {
 	arena   *alloc.Arena
 }
 
-// epochStripe is one commit lane: threads map to stripes by id, so commits
-// from different monitor domains append under different mutexes.
+// epochStripe is one commit lane: threads map to stripes by id.
 type epochStripe struct {
 	//detvet:lockorder 30
-	mu sync.Mutex //detvet:nativesync commit lane for host-side segment appends; turn order already serializes conflicting commits, the mutex only protects the lane against off-turn elided commits and Collect
+	mu sync.Mutex //detvet:nativesync commit lane for host-side segment appends; turn order already serializes conflicting commits, the mutex keeps the store safe for callers that commit and collect concurrently
 	//detvet:guardedby mu
 	open *segment
 	//detvet:guardedby mu
@@ -76,7 +75,7 @@ type epochStripe struct {
 // atomics, so snapshot bookkeeping — AllocSnapshot on the store path of a
 // running slice, FreeSnapshot on the off-monitor diff path — never contends
 // with commits or collections. Usage is kept twice: one exact atomic (used)
-// that is the capacity budget, and a striped per-domain attribution
+// that is the capacity budget, and a striped per-lane attribution
 // (perStripe) whose cells sum to used. The budget deliberately stays a
 // single atomic: GC-trigger decisions must see the exact linearized usage
 // at each charge, and a stripe-summed approximation would reintroduce the

@@ -22,11 +22,10 @@ func Now() time.Time { return time.Now() }
 func Since(t time.Time) time.Duration { return time.Since(t) }
 
 // Striped is a set of independently updated int64 cells, one per stripe,
-// each padded out to its own cache line. Sharded subsystems (the commit
-// monitor domains, the metadata space's per-domain usage attribution) use it
-// so that concurrent bookkeeping from different domains never bounces a
-// shared cache line. Stripe indices are taken modulo the stripe count, so
-// any non-negative hint (a thread id, a shard id) is a valid stripe.
+// each padded out to its own cache line. The metadata space's per-lane usage
+// attribution uses it so that concurrent bookkeeping from different lanes
+// never bounces a shared cache line. Stripe indices are taken modulo the
+// stripe count, so any non-negative hint (a thread id) is a valid stripe.
 type Striped struct {
 	cells []stripedCell
 }
@@ -132,16 +131,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Ratio returns num/den, or 0 when den is 0. Used for speedup and
-// normalization figures where a missing baseline should read as "no data"
-// rather than Inf/NaN.
-func Ratio(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }
 
 // Stddev returns the population standard deviation of xs.

@@ -43,18 +43,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	if !approx(Ratio(6, 2), 3) {
-		t.Fatalf("Ratio(6,2) = %v", Ratio(6, 2))
-	}
-	if Ratio(1, 0) != 0 {
-		t.Fatal("zero denominator should yield 0, not Inf")
-	}
-	if Ratio(0, 5) != 0 {
-		t.Fatal("zero numerator should yield 0")
-	}
-}
-
 func TestStddev(t *testing.T) {
 	if Stddev([]float64{5}) != 0 {
 		t.Fatal("single-element stddev should be 0")

@@ -13,11 +13,11 @@
 #   6. race tests — the packages with real concurrency, under -race with
 #                   GOMAXPROCS oversubscribed (the off-monitor diff/apply
 #                   windows only interleave when the host preempts)
-#   7. goldens    — the seed-regression goldens once per commit-monitor
-#                   domain count (RFDET_SHARDS): the sharded monitor may not
-#                   be visible to any deterministic observable. One more pass
-#                   at a 32 KiB metadata space (RFDET_METACAP), where slice
-#                   GC fires during the runs. Plus one iteration of the
+#   7. goldens    — the seed-regression goldens once at the default
+#                   options, and once more at a 32 KiB metadata space
+#                   (RFDET_METACAP), where slice GC fires during the runs
+#                   and may not be visible to any deterministic observable.
+#                   Plus one iteration of the
 #                   slice-store churn benchmark so the epoch store's
 #                   comparison against the map-store reference stays runnable
 #   8. replicas   — the KV-server divergence check: k=3 replicas of one
@@ -54,13 +54,10 @@ go test ./...
 echo "==> race tests (GOMAXPROCS=4)"
 GOMAXPROCS=4 go test -race ./internal/core/ ./internal/slicestore/ ./internal/alloc/ ./internal/kendo/
 
-echo "==> seed goldens per shard count, and under GC pressure"
-for shards in 1 4; do
-	echo "    RFDET_SHARDS=$shards"
-	RFDET_SHARDS="$shards" go test -count=1 -run 'TestSeedRegressionTraces|TestSeedRegressionShardCounts|TestSeedRegressionServer' .
-done
+echo "==> seed goldens, and under GC pressure"
+go test -count=1 -run 'TestSeedRegressionTraces|TestSeedRegressionServer' .
 echo "    RFDET_METACAP=32768"
-RFDET_METACAP=32768 go test -count=1 -run 'TestSeedRegressionTraces|TestSeedRegressionShardCounts|TestSeedRegressionServer' .
+RFDET_METACAP=32768 go test -count=1 -run 'TestSeedRegressionTraces|TestSeedRegressionServer' .
 
 echo "==> slice-store churn benchmark (1 iteration)"
 go test -run=NONE -bench SliceStoreChurn -benchtime=1x ./internal/slicestore/

@@ -43,9 +43,9 @@ const (
 	goldenRaceyOutput = uint64(0x22d8e78f10322389)
 	goldenRaceyVTime  = uint64(24179)
 
-	// KV-server goldens (PR 7), captured at 4 worker threads / SizeTest /
-	// DefaultServerSeed across GOMAXPROCS 1-8 × ShardCount {1,4} — all
-	// identical, as the replica-divergence property demands. The state and
+	// KV-server goldens, captured at 4 worker threads / SizeTest /
+	// DefaultServerSeed across GOMAXPROCS 1-8 — all identical, as the
+	// replica-divergence property demands. The state and
 	// response hashes are the replica fingerprints the harness compares;
 	// output/vtime/trace pin the full runtime behavior around them.
 	goldenServerOutput = uint64(0x4e54dc625c3bc116)
@@ -62,19 +62,13 @@ var regressionProcs = []int{1, 2, 4, 8}
 var seedConfig = workloads.Config{Threads: 4, Size: workloads.SizeTest}
 
 // seedTestOptions returns the configuration the goldens were captured with,
-// honoring the RFDET_SHARDS and RFDET_METACAP environment variables so CI can
-// sweep the determinism matrix across commit-monitor domain counts and
-// metadata-space capacities (a small RFDET_METACAP, in bytes, makes slice GC
-// fire during the runs) without a test-code change. The goldens are
-// independent of both axes by construction — that independence is exactly
-// what the sweep asserts.
+// honoring the RFDET_METACAP environment variable so CI can sweep the
+// determinism matrix across metadata-space capacities (a small
+// RFDET_METACAP, in bytes, makes slice GC fire during the runs) without a
+// test-code change. The goldens are independent of the capacity by
+// construction — that independence is exactly what the sweep asserts.
 func seedTestOptions() core.Options {
 	opts := core.DefaultOptions()
-	if s := os.Getenv("RFDET_SHARDS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			opts.ShardCount = n
-		}
-	}
 	if s := os.Getenv("RFDET_METACAP"); s != "" {
 		if n, err := strconv.ParseUint(s, 10, 64); err == nil && n > 0 {
 			opts.MetadataCapacity = n
@@ -177,7 +171,7 @@ func TestSeedRegressionTraces(t *testing.T) {
 }
 
 // TestSeedRegressionServer freezes the KV-server workload like the kernel
-// goldens: at every GOMAXPROCS in {1,2,4,8} (× whatever RFDET_SHARDS the CI
+// goldens: at every GOMAXPROCS in {1,2,4,8} (× whatever RFDET_METACAP the CI
 // matrix pins via seedTestOptions), the traced run must reproduce the exact
 // output hash, virtual time, trace digest, state hash, response hash and
 // full observation digest. These are the replica fingerprints: if one of
@@ -221,8 +215,8 @@ func TestSeedRegressionServer(t *testing.T) {
 
 // TestSeedRegressionServerReplicas is the CI replica-divergence matrix body:
 // k=2 replicas of the golden request log across the default and
-// race-detecting stacks — at the ambient GOMAXPROCS and the RFDET_SHARDS
-// domain count the CI matrix sweeps — must agree with each other AND with
+// race-detecting stacks — at the ambient GOMAXPROCS and the RFDET_METACAP
+// capacity the CI matrix sweeps — must agree with each other AND with
 // the pinned golden fingerprints.
 func TestSeedRegressionServerReplicas(t *testing.T) {
 	mk := func(name string, tweak func(*core.Options)) harness.ReplicaVariant {
@@ -375,57 +369,5 @@ func TestSeedRegressionPhaseTraceMatches(t *testing.T) {
 	}
 	if err := trace.ValidateChrome(buf.Bytes()); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSeedRegressionShardCounts replays the seed goldens once per
-// commit-monitor domain count, at several GOMAXPROCS each: the sharded
-// monitor (default four domains) and the seed's single global domain must
-// both hit the exact pre-sharding outputs, virtual times and trace digests.
-// This is the in-tree half of the CI determinism matrix (scripts/verify.sh
-// additionally sweeps RFDET_SHARDS over the whole seed-regression wall).
-func TestSeedRegressionShardCounts(t *testing.T) {
-	goldens := []struct {
-		workload             string
-		output, vtime, trace uint64
-	}{
-		{"wordcount", goldenWordcountOutput, goldenWordcountVTime, goldenWordcountTrace},
-		{"fft", goldenFFTOutput, goldenFFTVTime, goldenFFTTrace},
-	}
-	for _, shards := range []int{1, 4} {
-		opts := core.DefaultOptions()
-		opts.ShardCount = shards
-		opts.Trace = true
-		rt := core.New(opts)
-		for _, p := range []int{1, 4, 8} {
-			old := runtime.GOMAXPROCS(p)
-			for _, g := range goldens {
-				w, err := workloads.ByName(g.workload)
-				if err != nil {
-					runtime.GOMAXPROCS(old)
-					t.Fatal(err)
-				}
-				r, tr, err := rt.RunTraced(w.Prog(seedConfig))
-				if err != nil {
-					runtime.GOMAXPROCS(old)
-					t.Fatalf("shards=%d P=%d %s: %v", shards, p, g.workload, err)
-				}
-				if r.OutputHash != g.output || r.VirtualTime != g.vtime {
-					runtime.GOMAXPROCS(old)
-					t.Fatalf("shards=%d P=%d %s: output=%#x vtime=%d, seed output=%#x vtime=%d",
-						shards, p, g.workload, r.OutputHash, r.VirtualTime, g.output, g.vtime)
-				}
-				if th := fnvString(tr.String()); th != g.trace {
-					runtime.GOMAXPROCS(old)
-					t.Fatalf("shards=%d P=%d %s: trace hash %#x, seed %#x — sharding changed event-level behavior",
-						shards, p, g.workload, th, g.trace)
-				}
-				if want := uint64(shards); r.Stats.MonitorShards != want {
-					runtime.GOMAXPROCS(old)
-					t.Fatalf("shards=%d: Stats.MonitorShards = %d", shards, r.Stats.MonitorShards)
-				}
-			}
-			runtime.GOMAXPROCS(old)
-		}
 	}
 }

@@ -22,10 +22,9 @@ import (
 //     //detvet:releases) so the repo's Locked-suffix helpers check precisely.
 //  2. Lock order. Mutex fields annotated //detvet:lockorder <rank> form a
 //     global acquisition order (documented in DESIGN.md §17); acquiring a
-//     lower-ranked lock while holding a higher-ranked one is an inversion.
-//     Same-rank re-acquisition is allowed: the monitor domains are taken in
-//     ascending shard-id order, which is a runtime invariant, not a static
-//     one.
+//     lower-ranked lock while holding a higher-ranked one is an inversion,
+//     and so is holding two instances of one ranked class at once, since
+//     nothing orders instances statically.
 //  3. Held-across-blocking. A blocking operation — channel send/receive,
 //     select without default, sync.Cond.Wait, sync.WaitGroup.Wait, or a call
 //     to a function annotated //detvet:blocks — executed while any annotated
@@ -55,11 +54,6 @@ var lockcheck = &Analyzer{
 	Run: runLockcheck,
 }
 
-// wildcardKey is the held-set entry added by //detvet:acquires * (the global
-// rendezvous): it satisfies every guard requirement and every holds
-// precondition until removed by //detvet:releases *.
-const wildcardKey = "*"
-
 // A guardAlt is one alternative of a guardedby specification: either a
 // sibling mutex field of the same struct (resolved against the accessed
 // expression's base) or a class `Type.field` (any held instance of that
@@ -78,11 +72,10 @@ type fieldGuard struct {
 // lockRef is one lock named by a function-level effect annotation, resolved
 // lazily against the function's receiver and parameters.
 type lockRef struct {
-	wildcard bool
-	base     string   // receiver/parameter name ("" for class form)
-	path     []string // field path below the base
-	class    string   // class form: "Type.field"
-	spec     string   // original text, for diagnostics
+	base  string   // receiver/parameter name ("" for class form)
+	path  []string // field path below the base
+	class string   // class form: "Type.field"
+	spec  string   // original text, for diagnostics
 }
 
 // funcEffects are the lock-relevant annotations of one function.
@@ -502,12 +495,11 @@ func (lc *lockcheckState) parseLockRefs(fd *ast.FuncDecl, pos token.Pos, rest st
 	}
 	var refs []lockRef
 	for _, spec := range specs {
-		if spec == "*" {
-			refs = append(refs, lockRef{wildcard: true, spec: spec})
-			continue
-		}
 		parts := strings.Split(spec, ".")
 		switch {
+		case len(parts) == 1 && !token.IsIdentifier(spec):
+			lc.pass.Reportf(pos, "lock spec %q is not a receiver field, a parameter path or a Type.field class", spec)
+			return nil
 		case len(parts) == 1:
 			// Receiver field shorthand.
 			if fd.Recv == nil || len(names) == 0 {
@@ -600,9 +592,6 @@ func (ff *funcFlow) funcEffectsOf(fd *ast.FuncDecl) *funcEffects {
 // refKey resolves an annotation lockRef against the declared function's
 // receiver/parameter objects, returning the canonical key and class.
 func (ff *funcFlow) refKey(fd *ast.FuncDecl, ref lockRef) (string, string) {
-	if ref.wildcard {
-		return wildcardKey, wildcardKey
-	}
 	if ref.class != "" {
 		return "class:" + ref.class, ref.class
 	}
@@ -949,7 +938,7 @@ func (ff *funcFlow) walkStmt(s ast.Stmt, in flowState) flowState {
 		// The spawned goroutine runs later with its own locks; analyze its
 		// body with an empty held set and leave the caller's state alone.
 		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			ff.walkStmt(fl.Body, newFlowState())
+			ff.walkClosure(fl, newFlowState())
 		}
 		st := in
 		for _, a := range s.Call.Args {
@@ -1423,12 +1412,21 @@ func (ff *funcFlow) walkExpr(e ast.Expr, in flowState, write bool) flowState {
 		// A closure usually runs where it is created (worker bodies are the
 		// exception and are reached via go statements, handled above):
 		// analyze it against the current held set.
-		ff.walkStmt(e.Body, in.clone())
+		ff.walkClosure(e, in.clone())
 		return in
 	case *ast.CallExpr:
 		return ff.walkCall(e, in)
 	}
 	return in
+}
+
+// walkClosure analyzes a function literal's body against the given held
+// set. A return inside the literal leaves the closure, not the enclosing
+// function, so it is not recorded as one of the enclosing function's exits.
+func (ff *funcFlow) walkClosure(fl *ast.FuncLit, in flowState) {
+	exits := ff.exits
+	ff.walkStmt(fl.Body, in)
+	ff.exits = exits
 }
 
 // walkCall applies a call's lock semantics: sync primitive operations,
@@ -1502,11 +1500,7 @@ func (ff *funcFlow) mutexOp(sel *ast.SelectorExpr, in flowState) (flowState, boo
 		ff.acquire(&st, key, class, sel.Sel.Name == "RLock", sel.Pos())
 	case "Unlock", "RUnlock":
 		if _, held := st.locks[key]; !held {
-			// A held wildcard (//detvet:acquires *) covers unlocks of locks
-			// the analyzer cannot name individually.
-			if _, wild := st.locks[wildcardKey]; !wild {
-				ff.reportOnce(sel.Pos(), "unlock of %s, which is not provably held here", types.ExprString(sel.X))
-			}
+			ff.reportOnce(sel.Pos(), "unlock of %s, which is not provably held here", types.ExprString(sel.X))
 		}
 		delete(st.locks, key)
 	case "TryLock", "TryRLock":
@@ -1521,7 +1515,7 @@ func (ff *funcFlow) mutexOp(sel *ast.SelectorExpr, in flowState) (flowState, boo
 // acquisition keeps the original held entry (and its deferred-release flag)
 // so one bug reports once.
 func (ff *funcFlow) acquire(st *flowState, key, class string, read bool, pos token.Pos) {
-	if _, held := st.locks[key]; held && key != wildcardKey {
+	if _, held := st.locks[key]; held {
 		ff.reportOnce(pos, "lock already held: second acquisition of %s on this path", describeLock(key, class))
 		return
 	}
@@ -1530,9 +1524,10 @@ func (ff *funcFlow) acquire(st *flowState, key, class string, read bool, pos tok
 }
 
 // checkOrder reports an inversion when a ranked lock is acquired while a
-// strictly higher-ranked lock is held.
+// strictly higher-ranked lock, or another instance of the same class, is
+// held.
 func (ff *funcFlow) checkOrder(st *flowState, class string, pos token.Pos) {
-	if class == "" || class == wildcardKey {
+	if class == "" {
 		return
 	}
 	rank, ok := ff.lc.ranks[class]
@@ -1540,7 +1535,12 @@ func (ff *funcFlow) checkOrder(st *flowState, class string, pos token.Pos) {
 		return
 	}
 	for _, h := range st.locks {
-		if h.class == "" || h.class == wildcardKey || h.class == class {
+		if h.class == "" {
+			continue
+		}
+		if h.class == class {
+			ff.reportOnce(pos, "lock-order: acquiring a second %s (rank %d) while holding one: instances of one class have no static order",
+				class, rank)
 			continue
 		}
 		heldRank, ok := ff.lc.ranks[h.class]
@@ -1560,9 +1560,6 @@ func (ff *funcFlow) checkOrder(st *flowState, class string, pos token.Pos) {
 func (ff *funcFlow) applyEffects(call *ast.CallExpr, fn *types.Func, eff *funcEffects, in flowState) flowState {
 	st := in.clone()
 	subst := func(ref lockRef) (string, string) {
-		if ref.wildcard {
-			return wildcardKey, wildcardKey
-		}
 		if ref.class != "" {
 			return "class:" + ref.class, ref.class
 		}
@@ -1604,9 +1601,6 @@ func (ff *funcFlow) applyEffects(call *ast.CallExpr, fn *types.Func, eff *funcEf
 // satisfiedExact reports whether a specific lock (by key, or any instance of
 // its class for class-form refs) is held. needWrite demands a write hold.
 func (ff *funcFlow) satisfiedExact(st flowState, key, class string, needWrite bool) bool {
-	if _, ok := st.locks[wildcardKey]; ok {
-		return true
-	}
 	if h, ok := st.locks[key]; ok && !(needWrite && h.read) {
 		return true
 	}
@@ -1684,7 +1678,7 @@ func (ff *funcFlow) checkBlocking(pos token.Pos, what string, st flowState) {
 
 // describeLock renders a lock key for diagnostics, preferring the class.
 func describeLock(key, class string) string {
-	if class != "" && class != wildcardKey {
+	if class != "" {
 		return class
 	}
 	if i := strings.IndexByte(key, '@'); i >= 0 {
@@ -1729,9 +1723,6 @@ func (ff *funcFlow) checkFieldAccess(sel *ast.SelectorExpr, st flowState, write 
 // demand the same base's mutex; class specs accept any held instance. Write
 // access demands a write hold (RLock does not suffice).
 func (ff *funcFlow) guardSatisfied(sel *ast.SelectorExpr, guard *fieldGuard, st flowState, write bool) bool {
-	if _, ok := st.locks[wildcardKey]; ok {
-		return true
-	}
 	for _, alt := range guard.alts {
 		if alt.sibling != "" {
 			key := ff.keyOf(sel.X) + "." + alt.sibling
@@ -1754,30 +1745,21 @@ func (ff *funcFlow) guardSatisfied(sel *ast.SelectorExpr, guard *fieldGuard, st 
 // and every annotated acquires lock must actually be held.
 func (ff *funcFlow) checkExits(fd *ast.FuncDecl, eff *funcEffects, entry flowState) {
 	expected := map[string]bool{}
-	wildcardOK := false
 	if eff != nil {
 		for _, refs := range [][]lockRef{eff.holds, eff.acquires} {
 			for _, ref := range refs {
 				key, _ := ff.refKey(fd, ref)
-				if key == wildcardKey {
-					wildcardOK = true
-				}
 				expected[key] = true
 			}
 		}
 		for _, ref := range eff.releases {
 			key, _ := ff.refKey(fd, ref)
 			delete(expected, key)
-			if key == wildcardKey {
-				wildcardOK = false
-			}
 		}
 	}
 	for _, exit := range ff.exits {
 		for key, h := range exit.locks {
-			// A leftover wildcard is an annotation artifact (seeded by
-			// //detvet:releases *), never a concrete lock.
-			if key == wildcardKey || h.deferred || expected[key] || wildcardOK {
+			if h.deferred || expected[key] {
 				continue
 			}
 			ff.reportOnce(h.pos,
@@ -1785,13 +1767,7 @@ func (ff *funcFlow) checkExits(fd *ast.FuncDecl, eff *funcEffects, entry flowSta
 				describeLock(key, h.class), fd.Name.Name)
 		}
 		for key := range expected {
-			if key == wildcardKey {
-				continue
-			}
 			if _, ok := exit.locks[key]; !ok {
-				if _, wild := exit.locks[wildcardKey]; wild {
-					continue
-				}
 				ff.reportOnce(fd.Name.Pos(),
 					"%s is annotated to hold %s at return, but a path releases it",
 					fd.Name.Name, describeLock(key, ""))

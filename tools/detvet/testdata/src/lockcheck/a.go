@@ -114,3 +114,12 @@ func panicLeaves(c *counter) {
 	c.n++
 	panic("crash") // locks held at an explicit panic are not reported
 }
+
+// A return inside a closure leaves the closure, not the function holding
+// the lock: the comparator below is no exit of closureReturnUnderLock.
+func closureReturnUnderLock(c *counter, xs []int, less func(func(i, j int) bool)) {
+	c.mu.Lock()
+	less(func(i, j int) bool { return xs[i] < xs[j] })
+	c.n = len(xs)
+	c.mu.Unlock()
+}

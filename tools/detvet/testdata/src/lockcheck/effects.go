@@ -3,9 +3,8 @@ package lockcheck
 import "sync"
 
 // Function-effect annotations cross call boundaries: holds is a call-site
-// precondition, acquires/releases transfer the lock in and out of helper
-// functions, and the * wildcard models dynamic lock sets (the global
-// rendezvous).
+// precondition, and acquires/releases transfer the lock in and out of helper
+// functions. Every spec names one lock; there is no wildcard.
 
 type shard struct {
 	mu    sync.Mutex //detvet:lockorder 50
@@ -54,27 +53,10 @@ func forgetsRelease(sh *shard) {
 	sh.items = nil
 }
 
-// lockAll models the global rendezvous: it acquires a dynamic set of locks
-// the analyzer cannot name individually.
+// lockSome cannot name what it takes.
 //
-//detvet:acquires *
-func lockAll(sh *shard) {
-	sh.mu.Lock()
-}
-
-// unlockAll releases everything lockAll took.
-//
-//detvet:releases *
-func unlockAll(sh *shard) {
-	sh.mu.Unlock()
-}
-
-func rendezvous(sh *shard) int {
-	lockAll(sh)
-	n := len(sh.items)
-	unlockAll(sh)
-	return n
-}
+//detvet:acquires * // want "lock spec .\*. is not a receiver field"
+func (sh *shard) lockSome() {}
 
 // aliasLock binds the lock through a local alias; the canonical key must
 // match the direct spelling.

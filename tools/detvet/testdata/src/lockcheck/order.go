@@ -32,10 +32,9 @@ func inverted(o *outer, i *inner) {
 }
 
 func sameClassPair(a, b *inner) {
-	// Same-rank re-acquisition across distinct instances is allowed (the
-	// monitor takes its domains in ascending shard-id order at runtime).
+	// Two instances of one ranked class have no static order between them.
 	a.mu.Lock()
-	b.mu.Lock()
+	b.mu.Lock() // want "lock-order: acquiring a second inner.mu .rank 40. while holding one"
 	b.y = a.y
 	b.mu.Unlock()
 	a.mu.Unlock()
